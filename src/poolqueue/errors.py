@@ -33,9 +33,5 @@ class UnsupportedOracle(PoolQueueError):
     """An exact oracle was requested for a service law it does not cover."""
 
 
-class UnsupportedMean(PoolQueueError):
-    """A mean was requested for a law with infinite expectation."""
-
-
 class ConvergenceWarning(UserWarning):
     """The two inversion methods disagree beyond the cross-check tolerance."""

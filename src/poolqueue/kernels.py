@@ -8,15 +8,16 @@ arrive at the start of a service:
   independent Exp(gamma) deadline outlasting the service;
 * ``v[n][i]`` -- i arrivals before the deadline, jointly with the deadline
   falling inside the service;
-* ``w[n][i]`` -- i arrivals during one service time, unconditionally
-  (the gamma -> 0 limit of u).
+* ``w[n][i]`` -- i arrivals during one service time, unconditionally:
+  u at gamma = 0, derived on first access rather than built alongside.
 
-All three reduce to closed-form functionals of the service-time transform
+u and v reduce to closed-form functionals of the service-time transform
 once the arrival-count probability h_{ni}(t) is written as a finite sum of
 c * t^p/p! * e^{-r t} terms (ExpPolyMixture).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, factorial, perm
 
 import numpy as np
@@ -249,9 +250,11 @@ def _truncated_poly_exp_integral(p, a, d):
 class KernelTables:
     """Triangular kernel tables at a fixed killing rate.
 
-    ``u``, ``v``, ``w`` are lists of arrays; row n has entries i = 0..n.
+    ``u`` and ``v`` are lists of arrays; row n has entries i = 0..n.
     The i = n entry of every row is set by complement so the row-sum
-    identities (beta(gamma), 1 - beta(gamma), 1) hold exactly.
+    identities (beta(gamma), 1 - beta(gamma)) hold exactly.  ``w`` is
+    ``u`` at gamma = 0, in the same layout with row sums 1; it is derived
+    on first access, by building the gamma = 0 tables when gamma != 0.
     """
 
     plan: object
@@ -259,7 +262,12 @@ class KernelTables:
     gamma: complex
     u: list
     v: list
-    w: list
+
+    @cached_property
+    def w(self):
+        if self.gamma == 0:
+            return self.u
+        return build_tables(self.plan, self.law, 0.0).u
 
     def v_alpha(self, n, i, alpha):
         """Workload-extended kernel E[e^{-alpha(B-T)} ; i arrivals by T, T <= B]."""
@@ -302,33 +310,29 @@ def _mixture_v(law, mix, gamma):
 
 
 def build_tables(plan, law, gamma):
-    """Build the u, v, w kernel tables for a plan/law/killing-rate triple.
+    """Build the u and v kernel tables for a plan/law/killing-rate triple.
 
     gamma may be complex (inversion contours evaluate the whole pipeline at
     complex killing rates); the [0,1] range only applies when it is real.
-    At gamma = 0 the deadline is infinite: v vanishes and u coincides with w.
+    At gamma = 0 the deadline is infinite: v vanishes and u is w.
     """
     if not service.is_transform_capable(law):
         raise UnsupportedTransform("kernel tables need a transform-capable law")
     m = pool_size(plan)
     dtype = complex if np.iscomplexobj(gamma) else float
     beta0 = service.lst(law, gamma)
-    u, v, w = [], [], []
+    u, v = [], []
     for n in range(m + 1):
         row_u = np.zeros(n + 1, dtype=dtype)
         row_v = np.zeros(n + 1, dtype=dtype)
-        row_w = np.zeros(n + 1, dtype=dtype)
         for i in range(n):
             mix = arrival_count_mixture(plan, n, i)
             row_u[i] = _mixture_u(law, mix, gamma)
-            row_w[i] = _mixture_u(law, mix, 0.0)
             if gamma != 0:
                 row_v[i] = _mixture_v(law, mix, gamma)
         row_u[n] = beta0 - row_u[:n].sum()
-        row_w[n] = 1.0 - row_w[:n].sum()
         if gamma != 0:
             row_v[n] = (1.0 - beta0) - row_v[:n].sum()
         u.append(row_u)
         v.append(row_v)
-        w.append(row_w)
-    return KernelTables(plan=plan, law=law, gamma=gamma, u=u, v=v, w=w)
+    return KernelTables(plan=plan, law=law, gamma=gamma, u=u, v=v)

@@ -13,6 +13,8 @@ by-products and keeps normalization testable.
 The same sweep, with the v-kernel replaced by its workload-extended version
 and a per-row factor beta(alpha)^{l-1}, yields the joint transform
 E[z^{Z} e^{-alpha W}] of queue length and remaining work at the deadline.
+Run at gamma = 0, the mass it finds on each empty state gives the
+probabilities that arriving customers find the system empty (waiting).
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ from . import kernels, service
 __all__ = [
     "PgfPolynomial",
     "JointTransformValue",
+    "sweep",
     "pgf",
     "joint_transform",
     "workload_lst",
@@ -58,7 +61,7 @@ class JointTransformValue:
         return np.polynomial.polynomial.polyval(z, self.coeffs)
 
 
-def _sweep(k, m, tables, v_rows, row_factors, dtype):
+def sweep(k, m, tables, v_rows, row_factors, dtype):
     """Push unit mass from (k, m) down the diagonals s = l + n of the chain.
 
     Every service completion lowers l + n by one, so the mass on diagonal s
@@ -68,6 +71,11 @@ def _sweep(k, m, tables, v_rows, row_factors, dtype):
     row_factors[l] * v_rows[n][i].  The empty state (0, s) is resolved
     within its diagonal first: killed onto coefficient 0 with probability
     gamma / (gamma + lambda_s), otherwise moved to (1, s - 1).
+
+    Returns (coeffs, empty): the k + m + 1 deposited coefficients, and
+    empty[s], the mass on (0, s) just before it is resolved, for s = 0..m.
+    At gamma = 0 nothing is killed, so empty[s] is the probability that
+    the system is empty just after departure k + m - s.
     """
     gamma = tables.gamma
     size = m + 1
@@ -77,10 +85,12 @@ def _sweep(k, m, tables, v_rows, row_factors, dtype):
         step[n, : n + 1] = tables.u[n][::-1]
         deposit[n, : n + 1] = v_rows[n][::-1]
     coeffs = np.zeros(k + m + 1, dtype=dtype)
+    empty = np.zeros(size, dtype=dtype)
     mass = np.zeros(size, dtype=dtype)
     mass[m] = 1.0
     for s in range(k + m, 0, -1):
         if s <= m:
+            empty[s] = mass[s]
             lam_s = kernels.rate(tables.plan, s)
             coeffs[0] += gamma / (gamma + lam_s) * mass[s]
             mass[s - 1] += lam_s / (gamma + lam_s) * mass[s]
@@ -93,8 +103,9 @@ def _sweep(k, m, tables, v_rows, row_factors, dtype):
         mass = np.zeros(size, dtype=dtype)
         mass[: top + 1] = busy @ step[: top + 1, : top + 1]
     # (0, 0): nobody present and nobody left to arrive.
+    empty[0] = mass[0]
     coeffs[0] += mass[0]
-    return coeffs
+    return coeffs, empty
 
 
 def pgf(k, m, plan, law, gamma, tables=None):
@@ -110,7 +121,7 @@ def pgf(k, m, plan, law, gamma, tables=None):
         tables = kernels.build_tables(plan, law, gamma)
     dtype = complex if np.iscomplexobj(gamma) else float
     row_factors = np.ones(k + m + 1, dtype=dtype)
-    coeffs = _sweep(k, m, tables, tables.v, row_factors, dtype)
+    coeffs, _ = sweep(k, m, tables, tables.v, row_factors, dtype)
     return PgfPolynomial(coeffs=coeffs)
 
 
@@ -136,7 +147,7 @@ def joint_transform(k, m, plan, law, gamma, alpha, tables=None):
     row_factors = np.empty(k + m + 1, dtype=complex)
     row_factors[0] = 1.0
     row_factors[1:] = beta_a ** np.arange(0, k + m)
-    coeffs = _sweep(k, m, tables, v_rows, row_factors, complex)
+    coeffs, _ = sweep(k, m, tables, v_rows, row_factors, complex)
     return JointTransformValue(alpha=alpha, coeffs=coeffs)
 
 

@@ -5,22 +5,19 @@ Customers are numbered 1..k+m in service order: the k initially present
 time of an arriving customer satisfies a Lindley recursion against the
 memoryless interarrival times, which telescopes into a closed-form
 transform involving only the probabilities that each arriving customer
-finds the system empty.  Those emptiness probabilities come from exact
-forward propagation of the embedded departure chain.
+finds the system empty.  Those emptiness probabilities are read off the
+same forward diagonal sweep of the embedded departure chain that gives the
+queue-length PGF (transient.sweep), run at gamma = 0 so that no mass is
+killed.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, service
+from . import kernels, service, transient
 from .errors import DomainError
 from .service import Pareto
 
 __all__ = [
-    "DepartureChainState",
-    "initial_chain_state",
-    "chain_step",
     "emptiness_probs",
     "waiting_lst",
     "waiting_mean",
@@ -31,68 +28,18 @@ _POLE_REL_TOL = 1e-6
 _POLE_CIRCLE = 1e-4
 
 
-@dataclass(frozen=True)
-class DepartureChainState:
-    """Distribution over (customers present, yet to arrive) after `step` departures."""
-
-    probs: np.ndarray
-    step: int
-
-
-def initial_chain_state(k, m):
-    probs = np.zeros((k + m + 1, m + 1))
-    probs[k, m] = 1.0
-    return DepartureChainState(probs=probs, step=0)
-
-
-def _w_tables(plan, law):
-    return kernels.build_tables(plan, law, 0.0).w
-
-
-def chain_step(state, plan, law, w=None):
-    """One departure: propagate the chain distribution forward.
-
-    From (l, n) with l >= 1 a service starts at once and i of the n
-    outstanding customers arrive during it; from (0, n) with n >= 1 the
-    service only starts when the next customer shows up, so i of the
-    remaining n-1 arrive during it.  (0, 0) is absorbing.
-    """
-    if w is None:
-        w = _w_tables(plan, law)
-    probs = state.probs
-    top, cols = probs.shape
-    out = np.zeros_like(probs)
-    out[0, 0] = probs[0, 0]
-    for n1 in range(cols):
-        for ell1 in range(1, top):
-            p = probs[ell1, n1]
-            if p == 0.0:
-                continue
-            for i in range(n1 + 1):
-                out[ell1 + i - 1, n1 - i] += p * w[n1][i]
-        if n1 >= 1:
-            p = probs[0, n1]
-            if p != 0.0:
-                for i in range(n1):
-                    out[i, n1 - 1 - i] += p * w[n1 - 1][i]
-    return DepartureChainState(probs=out, step=state.step + 1)
-
-
 def emptiness_probs(k, m, plan, law):
     """P(customer h finds the system empty), for h = k+1 .. k+m.
 
-    Equals the probability that nobody is present just after departure h-1.
+    Equals the probability that nobody is present just after departure h-1,
+    which is the mass the gamma = 0 sweep puts on the empty state (0, s)
+    of diagonal s = k + m - (h - 1).
     """
     if m == 0:
         return np.zeros(0)
-    w = _w_tables(plan, law)
-    state = initial_chain_state(k, m)
-    out = np.zeros(m)
-    for h in range(k + 1, k + m + 1):
-        while state.step < h - 1:
-            state = chain_step(state, plan, law, w=w)
-        out[h - k - 1] = state.probs[0, :].sum()
-    return out
+    tables = kernels.build_tables(plan, law, 0.0)
+    _, empty = transient.sweep(k, m, tables, tables.v, np.ones(k + m + 1), float)
+    return empty[m:0:-1]
 
 
 def _eqw3(j, alpha, k, m, lams, law, rhos):

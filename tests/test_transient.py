@@ -33,7 +33,7 @@ def exponential_tables(plan, mu, gamma):
         u.append(row)
     v = [gamma / mu * row for row in u]
     return kernels.KernelTables(
-        plan=plan, law=service.Exponential(mu), gamma=gamma, u=u, v=v, w=None
+        plan=plan, law=service.Exponential(mu), gamma=gamma, u=u, v=v
     )
 
 

@@ -21,43 +21,6 @@ def plans(m, lam=0.8):
     return made
 
 
-class TestDepartureChain:
-    def test_absorbing_state(self):
-        state = waiting.initial_chain_state(0, 0)
-        stepped = waiting.chain_step(
-            state, kernels.Constant(1.0, 0), service.Exponential(1.0)
-        )
-        assert stepped.probs[0, 0] == pytest.approx(1.0)
-
-    def test_single_customer_departs(self):
-        state = waiting.initial_chain_state(1, 0)
-        stepped = waiting.chain_step(
-            state, kernels.Constant(1.0, 0), service.Exponential(1.0)
-        )
-        assert stepped.probs[0, 0] == pytest.approx(1.0)
-        assert stepped.step == 1
-
-    def test_race_of_two_exponentials(self):
-        # first departure leaves (0,1) if B < T_1, else (1,0), each w.p. 1/2
-        state = waiting.initial_chain_state(1, 1)
-        stepped = waiting.chain_step(
-            state, kernels.Constant(1.0, 1), service.Exponential(1.0)
-        )
-        assert stepped.probs[0, 1] == pytest.approx(0.5, abs=1e-12)
-        assert stepped.probs[1, 0] == pytest.approx(0.5, abs=1e-12)
-
-    @pytest.mark.parametrize("law", LAWS)
-    def test_mass_conserved_through_absorption(self, law):
-        for m in (0, 2, 4, 6):
-            for plan in plans(m):
-                state = waiting.initial_chain_state(3, m)
-                for _ in range(3 + m + 2):
-                    assert state.probs.sum() == pytest.approx(1.0, abs=1e-12)
-                    state = waiting.chain_step(state, plan, law)
-                # everyone has departed by step k + m
-                assert state.probs[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-
 class TestEmptinessProbs:
     def test_first_arrival_into_empty_system(self):
         rhos = waiting.emptiness_probs(0, 2, kernels.Constant(1.0, 2), service.Exponential(1.0))
@@ -76,6 +39,24 @@ class TestEmptinessProbs:
         for plan in plans(4):
             rhos = waiting.emptiness_probs(2, 4, plan, law)
             assert np.all(rhos >= 0.0) and np.all(rhos <= 1.0)
+
+    def test_monte_carlo_large_pool(self):
+        # An arriving customer finds the system empty exactly when it does
+        # not wait, so rho_h = 1 - P(W_h > 0) for h = k+1..k+m.
+        k, m = 3, 40
+        plan = kernels.Constant(0.9, m)
+        law = service.Erlang(2, 2.0)
+        rhos = waiting.emptiness_probs(k, m, plan, law)
+        js = range(k + 1, k + m + 1)
+        config = simulate.SimConfig(
+            k=k, m=m, plan=plan, law=law,
+            tail_points=tuple((j, 0.0) for j in js),
+            replications=200_000, seed=23,
+        )
+        report = simulate.simulate(config)
+        for j, rho in zip(js, rhos):
+            est = report.waiting_tail[(j, 0.0)]
+            assert abs(1.0 - est.value - rho) <= 4 * max(est.stderr, 1e-12)
 
 
 class TestWaitingLst:
