@@ -6,19 +6,11 @@ class PoolQueueError(Exception):
 
 
 class UnsupportedTransform(PoolQueueError):
-    """A transform-side operation was requested for a law without one (Pareto)."""
+    """A transform-side operation was requested for a law that lacks it."""
 
 
 class DomainError(PoolQueueError, ValueError):
     """An argument lies outside the domain where the operation is defined."""
-
-
-class RateCollision(PoolQueueError):
-    """Rates in a general plan (shifted by the killing rate) are too close."""
-
-
-class ConditioningError(PoolQueueError):
-    """Partial-fraction coefficients grew beyond the safe magnitude."""
 
 
 class SingularityGuard(PoolQueueError):

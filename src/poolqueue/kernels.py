@@ -11,20 +11,31 @@ arrive at the start of a service:
 * ``w[n][i]`` -- i arrivals during one service time, unconditionally:
   u at gamma = 0, derived on first access rather than built alongside.
 
-u and v reduce to closed-form functionals of the service-time transform
-once the arrival-count probability h_{ni}(t) is written as a finite sum of
-c * t^p/p! * e^{-r t} terms (ExpPolyMixture).
+The outstanding count is a pure-death process with rates lambda_n, and the
+tables are built in one of two ways, neither of which forms alternating
+sums that grow with m:
+
+* phase-type service (alpha, S) with exit vector s0 = -S 1: per row n,
+  x_0 = alpha ((gamma + lambda_n) I - S)^{-1} and
+  x_i = lambda_{n-i+1} x_{i-1} ((gamma + lambda_{n-i}) I - S)^{-1}
+  (lambda_0 = 0), so u_{ni} = x_i s0 and v_{ni} = gamma x_i 1; at real
+  gamma every factor is nonnegative;
+* Deterministic(d) service: one matrix exponential of the block
+  [[(L - gamma I) d, d I], [0, 0]], L being the death generator, whose
+  top-left block holds u and whose top-right block holds v / gamma, at
+  [n, n - i].
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, perm
+from math import ceil, log2
 
 import numpy as np
-from scipy.special import gammaln
+
+# Unused: kept because the benchmark's traced run times this import at setup.
+import scipy.special  # noqa: F401
 
 from . import service
-from .errors import ConditioningError, RateCollision, UnsupportedTransform
 from .service import Deterministic
 
 __all__ = [
@@ -34,13 +45,9 @@ __all__ = [
     "RatePlan",
     "plan_rates",
     "pool_size",
-    "ExpPolyMixture",
-    "arrival_count_mixture",
     "KernelTables",
     "build_tables",
 ]
-
-_COEF_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class Proportional:
 
 @dataclass(frozen=True)
 class General:
-    """Explicit rate vector (lambda_1, ..., lambda_m), pairwise distinct."""
+    """Explicit rate vector (lambda_1, ..., lambda_m); rates may repeat."""
 
     rates: tuple
 
@@ -81,14 +88,6 @@ class General:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if any(r <= 0 for r in self.rates):
             raise ValueError("all rates must be positive")
-        rs = self.rates
-        for a in range(len(rs)):
-            for b in range(a + 1, len(rs)):
-                if abs(rs[a] - rs[b]) < 1e-8 * max(rs[a], rs[b]):
-                    raise RateCollision(
-                        "general-plan rates must be pairwise distinct "
-                        "(relative gap >= 1e-8); use Constant for equal rates"
-                    )
 
     @property
     def m(self):
@@ -122,139 +121,70 @@ def rate(plan, n):
     return plan.rates[n - 1]
 
 
-def _term_peak(c, p, r):
-    # Magnitude proxy: sup over t of |c| t^p/p! e^{-rt}, attained at t = p/r.
-    # Scale-invariant, unlike |c| itself, which grows like lam^p for the
-    # Constant plan without any actual cancellation.
-    if p == 0:
-        return abs(c)
-    if r <= 0:
-        return np.inf
-    return abs(c) * float(np.exp(p * np.log(p / r) - p - gammaln(p + 1)))
+def _expm(a):
+    """e^a: scale until the 1-norm is at most 1/2, sum the degree-18 Taylor
+    polynomial (truncation below 1e-22), then square back."""
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = ceil(log2(max(2.0 * norm, 1.0)))
+    a = a / 2.0**squarings
+    eye = np.eye(len(a))
+    out = eye
+    for j in range(18, 0, -1):
+        out = eye + a @ out / j
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
-@dataclass(frozen=True)
-class ExpPolyMixture:
-    """Finite sum  h(t) = sum c * t^p/p! * e^{-r t}  with p integer, r >= 0.
+def _death_blocks(plan, d, gamma, alpha):
+    """e^{(L - gamma) d} and integral_0^d e^{(L - gamma) t} e^{-alpha (d - t)} dt.
 
-    The factorial-normalized monomials keep coefficients and derivative
-    values in normal floating-point range even for powers in the hundreds.
-    Terms sharing (p, r) are merged and zero coefficients dropped at
-    construction, so rate-zero artifacts cancel exactly.
+    L is the generator of the outstanding count, so entry [n, n - i] of the
+    first block is e^{-gamma d} P(i arrivals in d | n outstanding).  Both
+    come from one exponential of [[(L - gamma I) d, d I], [0, -alpha d I]].
     """
-
-    terms: tuple = field(default=())
-
-    def __post_init__(self):
-        merged = {}
-        for c, p, r in self.terms:
-            key = (int(p), float(r))
-            merged[key] = merged.get(key, 0.0) + float(c)
-        kept = tuple(
-            (c, p, r) for (p, r), c in sorted(merged.items()) if c != 0.0
-        )
-        if kept and max(_term_peak(c, p, r) for c, p, r in kept) > _COEF_LIMIT:
-            raise ConditioningError(
-                "mixture coefficients exceed 1e12; reduce the pool size or "
-                "use a Constant/Proportional plan"
-            )
-        object.__setattr__(self, "terms", kept)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for c, p, r in self.terms:
-            if p == 0:
-                out = out + c * np.exp(-r * t)
-            else:
-                safe = np.where(t > 0, t, 1.0)
-                term = np.exp(p * np.log(safe) - gammaln(p + 1) - r * t)
-                out = out + c * np.where(t > 0, term, 0.0)
-        return out if out.ndim else float(out)
+    lams = np.concatenate(([0.0], plan_rates(plan)))
+    size = len(lams)
+    eye = np.eye(size)
+    gen = (np.diag(lams[1:], -1) - np.diag(lams) - gamma * eye) * d
+    block = np.block([[gen, d * eye], [np.zeros_like(eye), -alpha * d * eye]])
+    e = _expm(block)
+    return e[:size, :size], e[:size, size:]
 
 
-def _hypoexp_cdf_terms(rates):
-    """CDF of a sum of independent exponentials with distinct rates.
+def _phase_rows(plan, start, sub, gamma, cols):
+    """Rows n = 0..m of X_n @ cols, where X_n stacks x_0..x_n of row n.
 
-    Returns mixture terms for P(sum <= t) = 1 - sum_j A_j e^{-r_j t}.
+    x_0 = start R_n and x_i = x_{i-1} lambda_{n-i+1} R_{n-i}, with
+    R_j = ((gamma + lambda_j) I - S)^{-1}: x_i[k] is the Laplace transform at
+    gamma of the density of being in phase k with i arrivals so far.  The
+    m + 1 inverses are formed once, so each entry costs one vector-matrix
+    product.
     """
-    if not rates:
-        return [(1.0, 0, 0.0)]
-    terms = [(1.0, 0, 0.0)]
-    for j, rj in enumerate(rates):
-        prod = 1.0
-        for l, rl in enumerate(rates):
-            if l != j:
-                prod *= rl / (rl - rj)
-        terms.append((-prod, 0, rj))
-    return terms
-
-
-def arrival_count_mixture(plan, n, i):
-    """h_{ni}: probability of exactly i arrivals by time t when n remain."""
-    m = pool_size(plan)
-    if not (0 <= i <= n <= m):
-        raise IndexError("need 0 <= i <= n <= pool size")
-    if n == 0:
-        return ExpPolyMixture(((1.0, 0, 0.0),))
-    if isinstance(plan, Constant):
-        lam = plan.lam
-        if i < n:
-            return ExpPolyMixture(((lam**i, i, lam),))
-        # P(S_n <= t) = P(Poisson(lam t) >= n)
-        terms = [(1.0, 0, 0.0)]
-        terms += [(-(lam**j), j, lam) for j in range(n)]
-        return ExpPolyMixture(tuple(terms))
-    if isinstance(plan, Proportional):
-        # Arrived count is Binomial(n, 1 - e^{-lam t}).
-        lam = plan.lam
-        terms = [
-            (comb(n, i) * comb(i, j) * (-1) ** j, 0, (n - i + j) * lam)
-            for j in range(i + 1)
-        ]
-        return ExpPolyMixture(tuple(terms))
-    rates = plan.rates
-    # Time to the first i arrivals is hypoexponential with rates
-    # lambda_n, ..., lambda_{n-i+1}.
-    first = list(rates[n - i : n][::-1])
-    terms = _hypoexp_cdf_terms(first)
-    if i < n:
-        longer = list(rates[n - i - 1 : n][::-1])
-        terms += [(-c, p, r) for c, p, r in _hypoexp_cdf_terms(longer)]
-    return ExpPolyMixture(tuple(terms))
-
-
-def _truncated_poly_exp_integral(p, a, d):
-    """integral_0^d (t^p / p!) e^{-a t} dt for integer p >= 0, complex a."""
-    if abs(a) * d < 0.5:
-        # Series in a avoids cancellation for small exponents.
-        total = 0.0
-        # d^{p+1}/p!, kept in range through the exp/lgamma form.
-        base = float(np.exp((p + 1) * np.log(d) - gammaln(p + 1)))
-        term_pow = base
-        for j in range(40):
-            contrib = (-a) ** j * term_pow / (factorial(j) * (p + j + 1))
-            total = total + contrib
-            term_pow *= d
-            if abs(contrib) < 1e-18 * max(1.0, abs(total)):
-                break
-        return total
-    x = a * d
-    # e^{-x} sum_{j<=p} x^j/j!, each term built in log form to dodge overflow.
-    logx = np.log(x + 0.0j)
-    partial = sum(np.exp(j * logx - gammaln(j + 1) - x) for j in range(p + 1))
-    return (1.0 - partial) / a ** (p + 1)
+    lams = np.concatenate(([0.0], plan_rates(plan)))
+    inverses = np.linalg.inv((gamma + lams)[:, None, None] * np.eye(len(start)) - sub)
+    steps = [None] + list(lams[1:, None, None] * inverses[:-1])
+    rows = []
+    for n in range(len(lams)):
+        x = start @ inverses[n]
+        xs = [x]
+        for i in range(1, n + 1):
+            x = x @ steps[n - i + 1]
+            xs.append(x)
+        rows.append(np.array(xs) @ cols)
+    return rows
 
 
 @dataclass(frozen=True)
 class KernelTables:
     """Triangular kernel tables at a fixed killing rate.
 
-    ``u`` and ``v`` are lists of arrays; row n has entries i = 0..n.
-    The i = n entry of every row is set by complement so the row-sum
-    identities (beta(gamma), 1 - beta(gamma)) hold exactly.  ``w`` is
-    ``u`` at gamma = 0, in the same layout with row sums 1; it is derived
-    on first access, by building the gamma = 0 tables when gamma != 0.
+    ``u`` and ``v`` are lists of arrays; row n has entries i = 0..n, built
+    by the phase-type recursion or, for Deterministic service, by the block
+    matrix exponential (see the module docstring).  Row sums are beta(gamma)
+    and 1 - beta(gamma) up to rounding.  ``w`` is ``u`` at gamma = 0, in the
+    same layout with row sums 1; it is derived on first access, by building
+    the gamma = 0 tables when gamma != 0.
     """
 
     plan: object
@@ -269,44 +199,22 @@ class KernelTables:
             return self.u
         return build_tables(self.plan, self.law, 0.0).u
 
-    def v_alpha(self, n, i, alpha):
-        """Workload-extended kernel E[e^{-alpha(B-T)} ; i arrivals by T, T <= B]."""
-        if self.gamma == 0:
-            return 0.0 if alpha == 0 else 0.0 + 0.0j
+    def v_alpha(self, alpha):
+        """Rows n = 0..m of E[e^{-alpha(B-T)} ; i arrivals by T, T <= B].
+
+        Phase-type: gamma x_i (alpha I - S)^{-1} s0, the residual service
+        after the deadline being PH from the phase it is in.  Deterministic:
+        gamma times the top-right block of the exponential, which carries
+        the factor e^{-alpha(d - t)}.  At alpha = 0 the rows are v.
+        """
         gamma = self.gamma
-        h = arrival_count_mixture(self.plan, n, i)
         if isinstance(self.law, Deterministic):
-            d = self.law.value
-            total = 0.0
-            for c, p, r in h.terms:
-                total = total + c * _truncated_poly_exp_integral(p, gamma - alpha + r, d)
-            return gamma * np.exp(-alpha * d) * total
-        total = 0.0
-        for c, p, r in h.terms:
-            for a_c, a_p, a_r in service.killed_survival_terms(self.law, alpha):
-                s = gamma - alpha + r + a_r
-                pw = p + a_p
-                # integral of (t^p/p!) t^{a_p} e^{-st} is (pw!/p!) / s^{pw+1}
-                total = total + c * a_c * perm(pw, a_p) / s ** (pw + 1)
-        return gamma * total
-
-
-def _mixture_u(law, mix, gamma):
-    total = 0.0
-    for c, p, r in mix.terms:
-        total = total + c * (-1) ** p * service.lst_derivative_scaled(
-            law, p, gamma + r
-        )
-    return total
-
-
-def _mixture_v(law, mix, gamma):
-    total = 0.0
-    for c, p, r in mix.terms:
-        total = total + c * (-1) ** p * service.survival_transform_derivative_scaled(
-            law, p, gamma + r
-        )
-    return gamma * total
+            _, integral = _death_blocks(self.plan, self.law.value, gamma, alpha)
+            return [gamma * integral[n, n::-1] for n in range(len(integral))]
+        start, sub = service.phase_type(self.law)
+        exit_rates = -sub.sum(axis=1)
+        residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)
+        return _phase_rows(self.plan, start, sub, gamma, gamma * residual)
 
 
 def build_tables(plan, law, gamma):
@@ -315,24 +223,17 @@ def build_tables(plan, law, gamma):
     gamma may be complex (inversion contours evaluate the whole pipeline at
     complex killing rates); the [0,1] range only applies when it is real.
     At gamma = 0 the deadline is infinite: v vanishes and u is w.
+    Laws that are neither phase-type nor Deterministic raise
+    UnsupportedTransform.
     """
-    if not service.is_transform_capable(law):
-        raise UnsupportedTransform("kernel tables need a transform-capable law")
-    m = pool_size(plan)
-    dtype = complex if np.iscomplexobj(gamma) else float
-    beta0 = service.lst(law, gamma)
-    u, v = [], []
-    for n in range(m + 1):
-        row_u = np.zeros(n + 1, dtype=dtype)
-        row_v = np.zeros(n + 1, dtype=dtype)
-        for i in range(n):
-            mix = arrival_count_mixture(plan, n, i)
-            row_u[i] = _mixture_u(law, mix, gamma)
-            if gamma != 0:
-                row_v[i] = _mixture_v(law, mix, gamma)
-        row_u[n] = beta0 - row_u[:n].sum()
-        if gamma != 0:
-            row_v[n] = (1.0 - beta0) - row_v[:n].sum()
-        u.append(row_u)
-        v.append(row_v)
+    if isinstance(law, Deterministic):
+        growth, integral = _death_blocks(plan, law.value, gamma, 0.0)
+        u = [growth[n, n::-1] for n in range(len(growth))]
+        v = [gamma * integral[n, n::-1] for n in range(len(integral))]
+    else:
+        start, sub = service.phase_type(law)
+        cols = np.stack([-sub.sum(axis=1), np.full(len(start), gamma)], axis=1)
+        rows = _phase_rows(plan, start, sub, gamma, cols)
+        u = [row[:, 0] for row in rows]
+        v = [row[:, 1] for row in rows]
     return KernelTables(plan=plan, law=law, gamma=gamma, u=u, v=v)

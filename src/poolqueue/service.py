@@ -2,14 +2,17 @@
 
 Every law is a small frozen dataclass.  The transform-capable families
 (Exponential, Erlang, HyperExponential, Deterministic) expose the
-Laplace-Stieltjes transform of the service time, its derivatives of any
-order, the transform of the survival function, and the "killed survival"
-functional E[e^{-a B} 1{B >= t}] -- all in closed form, valid at complex
-arguments.  Pareto is simulation-only (tail, mean, sample).
+Laplace-Stieltjes transform of the service time in closed form, valid at
+complex arguments.  The first three are phase-type: phase_type gives their
+(alpha, S) representation, from which the kernel tables are built by a
+matrix recursion and the derivatives of the LST and of the survival
+transform are read off as powers of (sI - S)^{-1}; Deterministic needs
+only its value.  killed_survival gives E[e^{-a B} 1{B >= t}].  Pareto is
+simulation-only (tail, mean, sample).
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import exp, factorial, lgamma, log
 
 import numpy as np
 
@@ -23,6 +26,7 @@ __all__ = [
     "Pareto",
     "ServiceLaw",
     "lst",
+    "phase_type",
     "lst_derivative",
     "lst_derivative_scaled",
     "survival_transform_derivative",
@@ -32,12 +36,7 @@ __all__ = [
     "tail",
     "mean",
     "sample",
-    "is_transform_capable",
 ]
-
-# Minimum relative gap between hyperexponential rates; closer rates cause
-# catastrophic cancellation in the partial fractions used downstream.
-_RATE_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,6 @@ class HyperExponential:
             raise ValueError("rates must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        rs = self.rates
-        for a in range(len(rs)):
-            for b in range(a + 1, len(rs)):
-                if abs(rs[a] - rs[b]) < _RATE_GAP * max(rs[a], rs[b]):
-                    raise ValueError(
-                        "hyperexponential rates are too close; merge the "
-                        "branches into an Erlang mixture instead"
-                    )
 
 
 @dataclass(frozen=True)
@@ -117,10 +108,6 @@ class Pareto:
 ServiceLaw = Exponential | Erlang | HyperExponential | Deterministic | Pareto
 
 
-def is_transform_capable(law):
-    return not isinstance(law, Pareto)
-
-
 def _require_transform(law):
     if isinstance(law, Pareto):
         raise UnsupportedTransform("Pareto is simulation-only; no transform available")
@@ -142,35 +129,44 @@ def lst(law, s):
     return np.exp(-s * law.value)
 
 
-def lst_derivative(law, order, s):
-    """Exact j-th derivative of the LST, from the family's closed form."""
+def phase_type(law):
+    """(alpha, S) of a phase-type law: B is the absorption time of the
+    transient generator S started in the distribution alpha."""
+    if isinstance(law, Exponential):
+        return np.ones(1), np.array([[-law.rate]])
+    if isinstance(law, Erlang):
+        c, r = law.shape, law.rate
+        start = np.zeros(c)
+        start[0] = 1.0
+        return start, r * (np.eye(c, k=1) - np.eye(c))
+    if isinstance(law, HyperExponential):
+        return np.array(law.weights), -np.diag(law.rates)
+    raise UnsupportedTransform(f"{type(law).__name__} is not phase-type")
+
+
+def _check_derivative(law, order, s):
     _require_transform(law)
     if order < 0:
         raise DomainError("derivative order must be nonnegative")
     if s.real < 0 and s.imag == 0:
-        raise DomainError("lst_derivative requires Re s >= 0")
-    j = order
-    if isinstance(law, Exponential):
-        return (-1) ** j * factorial(j) * law.rate / (law.rate + s) ** (j + 1)
-    if isinstance(law, Erlang):
-        c, r = law.shape, law.rate
-        coef = factorial(c + j - 1) // factorial(c - 1)
-        return (-1) ** j * coef * r**c / (r + s) ** (c + j)
-    if isinstance(law, HyperExponential):
-        return sum(
-            (-1) ** j * factorial(j) * q * r / (r + s) ** (j + 1)
-            for q, r in zip(law.weights, law.rates)
-        )
-    return (-law.value) ** j * np.exp(-s * law.value)
+        raise DomainError("transform derivatives require Re s >= 0")
 
 
-def _log_power_over_factorial(base, j):
+def _phase_power(law, order, s):
+    """(-1)^j alpha (sI - S)^{-(j+1)} and s0 = -S 1 for a phase-type law.
+
+    beta(s) = alpha (sI - S)^{-1} s0 and sigma(s) = alpha (sI - S)^{-1} 1, so
+    the row against s0 is beta^(j)(s) / j! and against 1 is sigma^(j)(s) / j!.
+    """
+    start, sub = phase_type(law)
+    res = np.linalg.inv(s * np.eye(len(start)) - sub)
+    row = (-1) ** order * (start @ np.linalg.matrix_power(res, order + 1))
+    return row, -sub.sum(axis=1)
+
+
+def _power_over_factorial(base, j):
     """base^j / j! for base > 0, stable for large j."""
-    if j == 0:
-        return 1.0
-    from scipy.special import gammaln
-
-    return float(np.exp(j * np.log(base) - gammaln(j + 1)))
+    return exp(j * log(base) - lgamma(j + 1))
 
 
 def lst_derivative_scaled(law, order, s):
@@ -179,104 +175,39 @@ def lst_derivative_scaled(law, order, s):
     The plain derivative carries a factorial that overflows beyond j ~ 170;
     callers that pair it with a 1/j! coefficient use this form instead.
     """
-    _require_transform(law)
-    if order < 0:
-        raise DomainError("derivative order must be nonnegative")
-    if s.real < 0 and s.imag == 0:
-        raise DomainError("lst_derivative_scaled requires Re s >= 0")
-    j = order
-    if isinstance(law, Exponential):
-        return (-1) ** j * law.rate / (law.rate + s) ** (j + 1)
-    if isinstance(law, Erlang):
-        c, r = law.shape, law.rate
-        return (-1) ** j * comb(c + j - 1, j) * r**c / (r + s) ** (c + j)
-    if isinstance(law, HyperExponential):
-        return sum(
-            (-1) ** j * q * r / (r + s) ** (j + 1)
-            for q, r in zip(law.weights, law.rates)
-        )
-    d = law.value
-    return (-1) ** j * _log_power_over_factorial(d, j) * np.exp(-s * d)
+    _check_derivative(law, order, s)
+    if isinstance(law, Deterministic):
+        d = law.value
+        return (-1) ** order * _power_over_factorial(d, order) * np.exp(-s * d)
+    row, exit_rates = _phase_power(law, order, s)
+    return row @ exit_rates
+
+
+def lst_derivative(law, order, s):
+    """Exact j-th derivative of the LST."""
+    return factorial(order) * lst_derivative_scaled(law, order, s)
 
 
 def survival_transform_derivative_scaled(law, order, s):
     """sigma^(j)(s) / j! where sigma(s) = (1 - beta(s)) / s."""
-    _require_transform(law)
-    if order < 0:
-        raise DomainError("derivative order must be nonnegative")
+    _check_derivative(law, order, s)
     if s == 0:
         raise DomainError("survival transform derivatives require s != 0")
-    if s.real < 0 and s.imag == 0:
-        raise DomainError("survival_transform_derivative_scaled requires Re s >= 0")
-    j = order
-    if isinstance(law, Exponential):
-        return (-1) ** j / (law.rate + s) ** (j + 1)
-    if isinstance(law, Erlang):
-        r = law.rate
-        return sum(
-            r**i * (-1) ** j * comb(i + j, i) / (r + s) ** (i + j + 1)
-            for i in range(law.shape)
-        )
-    if isinstance(law, HyperExponential):
-        return sum(
-            (-1) ** j * q / (r + s) ** (j + 1)
-            for q, r in zip(law.weights, law.rates)
-        )
-    d = law.value
-    total = (-1) ** j / s ** (j + 1)
-    for i in range(j + 1):
-        total -= (
-            _log_power_over_factorial(d, i)
-            * (-1) ** i
-            * np.exp(-s * d)
-            * (-1) ** (j - i)
-            / s ** (j - i + 1)
-        )
-    return total
+    if isinstance(law, Deterministic):
+        # Leibniz rule on (1 - e^{-s d}) / s.
+        d, j = law.value, order
+        total = (-1) ** j / s ** (j + 1)
+        for i in range(j + 1):
+            term = _power_over_factorial(d, i) * np.exp(-s * d) / s ** (j - i + 1)
+            total -= (-1) ** j * term
+        return total
+    row, _ = _phase_power(law, order, s)
+    return row.sum()
 
 
 def survival_transform_derivative(law, order, s):
-    """j-th derivative of s |-> integral_0^inf e^{-s t} P(B > t) dt.
-
-    The zeroth derivative is (1 - lst(s)) / s; each family admits a
-    cancellation-free closed form used here.
-    """
-    _require_transform(law)
-    if order < 0:
-        raise DomainError("derivative order must be nonnegative")
-    if s == 0:
-        raise DomainError("survival transform derivatives require s != 0")
-    if s.real < 0 and s.imag == 0:
-        raise DomainError("survival_transform_derivative requires Re s >= 0")
-    j = order
-    if isinstance(law, Exponential):
-        return (-1) ** j * factorial(j) / (law.rate + s) ** (j + 1)
-    if isinstance(law, Erlang):
-        # P(B > t) = sum_{i<c} e^{-rt}(rt)^i/i!, so the transform is a sum
-        # of simple poles at -r.
-        r = law.rate
-        return sum(
-            r**i * (-1) ** j * (factorial(i + j) // factorial(i)) / (r + s) ** (i + j + 1)
-            for i in range(law.shape)
-        )
-    if isinstance(law, HyperExponential):
-        return sum(
-            (-1) ** j * factorial(j) * q / (r + s) ** (j + 1)
-            for q, r in zip(law.weights, law.rates)
-        )
-    # Deterministic: (1 - e^{-s d}) / s by the Leibniz rule.
-    d = law.value
-    total = (-1) ** j * factorial(j) / s ** (j + 1)
-    for i in range(j + 1):
-        total -= (
-            comb(j, i)
-            * (-d) ** i
-            * np.exp(-s * d)
-            * (-1) ** (j - i)
-            * factorial(j - i)
-            / s ** (j - i + 1)
-        )
-    return total
+    """j-th derivative of s |-> integral_0^inf e^{-s t} P(B > t) dt."""
+    return factorial(order) * survival_transform_derivative_scaled(law, order, s)
 
 
 def killed_survival(law, alpha, t):

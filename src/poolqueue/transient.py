@@ -137,11 +137,8 @@ def joint_transform(k, m, plan, law, gamma, alpha, tables=None):
         tables = kernels.build_tables(plan, law, gamma)
     beta_a = service.lst(law, alpha)
     v_rows = [
-        np.array(
-            [beta_a**i * tables.v_alpha(n, i, alpha) for i in range(n + 1)],
-            dtype=complex,
-        )
-        for n in range(m + 1)
+        beta_a ** np.arange(n + 1) * row
+        for n, row in enumerate(tables.v_alpha(alpha))
     ]
     # beta(alpha)^{l-1} per row; the l = 0 row never uses its factor.
     row_factors = np.empty(k + m + 1, dtype=complex)

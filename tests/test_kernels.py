@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolqueue import kernels, service
-from poolqueue.errors import RateCollision, UnsupportedTransform
+from poolqueue.errors import UnsupportedTransform
 
 LAWS = [
     service.Exponential(1.3),
@@ -30,57 +30,76 @@ class TestRatePlans:
         assert np.allclose(kernels.plan_rates(kernels.Proportional(0.5, 3)), [0.5, 1, 1.5])
         assert np.allclose(kernels.plan_rates(kernels.General((1.0, 2.0))), [1, 2])
 
-    def test_general_rejects_equal_rates(self):
-        with pytest.raises(RateCollision):
-            kernels.General((1.0, 1.0 + 1e-10))
-
     def test_rate_lookup(self):
         assert kernels.rate(kernels.Proportional(0.5, 4), 3) == pytest.approx(1.5)
         with pytest.raises(IndexError):
             kernels.rate(kernels.Constant(1.0, 2), 3)
 
 
+def arrival_probs(plan, t):
+    """Rows h_{n.}(t) = P(i arrivals in [0, t] | n outstanding), t > 0.
+
+    Deterministic(t) service with no deadline turns u into exactly these.
+    """
+    return kernels.build_tables(plan, service.Deterministic(t), 0.0).u
+
+
 class TestArrivalCountMixture:
     @pytest.mark.parametrize("plan", plans(3))
     def test_no_remaining_customers(self, plan):
-        h = kernels.arrival_count_mixture(plan, 0, 0)
-        assert h(0.0) == pytest.approx(1.0)
-        assert h(7.3) == pytest.approx(1.0)
+        assert arrival_probs(plan, 7.3)[0][0] == pytest.approx(1.0)
 
     def test_constant_poisson_term(self):
         # exactly one of two arrivals by t: t e^{-t} for lam = 1
-        h = kernels.arrival_count_mixture(kernels.Constant(1.0, 2), 2, 1)
-        for t in (0.0, 0.5, 2.0):
-            assert h(t) == pytest.approx(t * math.exp(-t), abs=1e-14)
+        for t in (0.5, 2.0):
+            h = arrival_probs(kernels.Constant(1.0, 2), t)[2][1]
+            assert h == pytest.approx(t * math.exp(-t), abs=1e-14)
 
     def test_proportional_single_cdf(self):
-        h = kernels.arrival_count_mixture(kernels.Proportional(1.0, 1), 1, 1)
-        for t in (0.0, 0.5, 2.0):
-            assert h(t) == pytest.approx(1.0 - math.exp(-t), abs=1e-14)
+        for t in (0.5, 2.0):
+            h = arrival_probs(kernels.Proportional(1.0, 1), t)[1][1]
+            assert h == pytest.approx(1.0 - math.exp(-t), abs=1e-14)
 
     @pytest.mark.parametrize("plan", plans(5))
     def test_value_at_zero(self, plan):
+        # Deterministic needs t > 0; at t = 1e-12 every h_{ni} is within
+        # lambda_max * t of its t = 0 value (no arrivals yet).
+        rows = arrival_probs(plan, 1e-12)
         for n in range(6):
             for i in range(n + 1):
-                h = kernels.arrival_count_mixture(plan, n, i)
-                assert h(0.0) == pytest.approx(1.0 if i == 0 else 0.0, abs=1e-12)
+                assert rows[n][i] == pytest.approx(1.0 if i == 0 else 0.0, abs=1e-11)
 
     @pytest.mark.parametrize("plan", plans(5))
     def test_rows_form_distribution(self, plan):
-        for n in range(6):
-            for t in (0.1, 0.9, 3.0):
-                total = 0.0
-                for i in range(n + 1):
-                    val = kernels.arrival_count_mixture(plan, n, i)(t)
-                    assert -1e-10 <= val <= 1 + 1e-10
-                    total += val
-                assert total == pytest.approx(1.0, abs=1e-10)
+        for t in (0.1, 0.9, 3.0):
+            rows = arrival_probs(plan, t)
+            for n in range(6):
+                assert np.all((rows[n] >= -1e-10) & (rows[n] <= 1 + 1e-10))
+                assert rows[n].sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_index_bounds(self):
+        rows = arrival_probs(kernels.Constant(1.0, 2), 1.0)
         with pytest.raises(IndexError):
-            kernels.arrival_count_mixture(kernels.Constant(1.0, 2), 3, 0)
+            rows[3][0]
         with pytest.raises(IndexError):
-            kernels.arrival_count_mixture(kernels.Constant(1.0, 2), 1, 2)
+            rows[1][2]
+
+    @pytest.mark.parametrize("t", [0.4, 2.5])
+    def test_closed_forms_at_large_pool(self, t):
+        # Poisson(lam t) truncated at n for Constant; Binomial(n, 1 - e^{-lam t})
+        # for Proportional.  m = 60 is far past where alternating sums fail.
+        # The matrix exponential is accurate to rounding in absolute terms;
+        # entries far below 1e-16 may lose their relative digits.
+        lam, m = 0.9, 60
+        const = arrival_probs(kernels.Constant(lam, m), t)
+        prop = arrival_probs(kernels.Proportional(lam, m), t)
+        x, p = lam * t, 1.0 - math.exp(-lam * t)
+        for n in (1, 30, 60):
+            poisson = [math.exp(-x) * x**i / math.factorial(i) for i in range(n)]
+            assert np.allclose(const[n][:n], poisson, rtol=1e-12, atol=1e-16)
+            assert const[n][n] == pytest.approx(1.0 - sum(poisson), rel=1e-12, abs=1e-15)
+            binomial = [math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(n + 1)]
+            assert np.allclose(prop[n], binomial, rtol=1e-12, atol=1e-16)
 
 
 class TestKernelTables:
@@ -186,6 +205,26 @@ class TestKernelTables:
                 kernels.Constant(1.0, 2), service.Pareto(1.5, 1.0), 1.0
             )
 
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("gamma", [0.0, 0.9, 1.2 - 0.7j])
+    def test_repeated_general_rates_match_constant(self, law, gamma):
+        same = kernels.build_tables(kernels.General((0.7,) * 12), law, gamma)
+        ref = kernels.build_tables(kernels.Constant(0.7, 12), law, gamma)
+        for n in range(13):
+            assert np.allclose(same.u[n], ref.u[n], rtol=1e-13, atol=1e-15)
+            assert np.allclose(same.v[n], ref.v[n], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.9, 1.2 - 0.7j])
+    def test_equal_hyperexp_rates_match_exponential(self, gamma):
+        plan = kernels.Proportional(0.8, 10)
+        hyper = kernels.build_tables(
+            plan, service.HyperExponential((0.3, 0.7), (2.0, 2.0)), gamma
+        )
+        ref = kernels.build_tables(plan, service.Exponential(2.0), gamma)
+        for n in range(11):
+            assert np.allclose(hyper.u[n], ref.u[n], rtol=1e-13, atol=1e-15)
+            assert np.allclose(hyper.v[n], ref.v[n], rtol=1e-13, atol=1e-15)
+
     def test_large_pool_stays_finite(self):
         tables = kernels.build_tables(
             kernels.Constant(1.0, 250), service.Exponential(1.0), 1.0
@@ -200,11 +239,10 @@ class TestWorkloadKernel:
         tables = kernels.build_tables(
             kernels.Proportional(0.9, 3), service.Erlang(2, 2.0), 1.1
         )
+        rows = tables.v_alpha(0.0)
         for n in range(4):
             for i in range(n + 1):
-                assert tables.v_alpha(n, i, 0.0) == pytest.approx(
-                    tables.v[n][i], abs=1e-12
-                )
+                assert rows[n][i] == pytest.approx(tables.v[n][i], abs=1e-12)
 
     def test_exponential_memoryless_factorization(self):
         # v00(alpha) = (gamma/(gamma+mu)) * (mu/(mu+alpha)): the residual of
@@ -214,7 +252,7 @@ class TestWorkloadKernel:
             kernels.Constant(1.0, 0), service.Exponential(mu), gamma
         )
         expected = gamma / (gamma + mu) * mu / (mu + alpha)
-        assert tables.v_alpha(0, 0, alpha) == pytest.approx(expected, abs=1e-12)
+        assert tables.v_alpha(alpha)[0][0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("law", LAWS)
     def test_monte_carlo_check(self, law):
@@ -228,11 +266,12 @@ class TestWorkloadKernel:
         t = rng.exponential(1.0 / gamma, size=reps)
         counts = rng.poisson(lam * t)
         inside = t <= b
+        rows = tables.v_alpha(alpha)
         for i in range(n):
             hit = inside & (counts == i)
             vals = np.where(hit, np.exp(-alpha * np.maximum(b - t, 0.0)), 0.0)
             se = vals.std(ddof=1) / math.sqrt(reps)
-            assert abs(vals.mean() - tables.v_alpha(n, i, alpha)) <= 4 * se
+            assert abs(vals.mean() - rows[n][i]) <= 4 * se
 
 
 class TestMonteCarloKernels:
@@ -265,12 +304,10 @@ class TestMonteCarloKernels:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    t=st.floats(min_value=0.0, max_value=20.0),
+    t=st.floats(min_value=0.0, max_value=20.0, exclude_min=True),
     n=st.integers(min_value=0, max_value=6),
     lam=st.floats(min_value=0.1, max_value=4.0),
 )
 def test_mixture_probability_bounds(t, n, lam):
-    plan = kernels.Proportional(lam, 6)
-    for i in range(n + 1):
-        val = kernels.arrival_count_mixture(plan, n, i)(t)
-        assert -1e-10 <= val <= 1 + 1e-10
+    row = arrival_probs(kernels.Proportional(lam, 6), t)[n]
+    assert np.all((row >= -1e-10) & (row <= 1 + 1e-10))

@@ -44,6 +44,26 @@ class TestLst:
         assert value == pytest.approx(1.0 / (0.5 + 2.0j))
 
 
+class TestPhaseType:
+    @pytest.mark.parametrize(
+        "law", [l for l in ALL_TRANSFORM_LAWS if not isinstance(l, service.Deterministic)]
+    )
+    def test_reproduces_lst_and_mean(self, law):
+        start, sub = service.phase_type(law)
+        exit_rates = -sub.sum(axis=1)
+        eye = np.eye(len(start))
+        for s in (0.0, 0.3, 2.0, 0.5 + 1.5j, -0.4 + 2.0j):
+            got = start @ np.linalg.solve(s * eye - sub, exit_rates)
+            assert got == pytest.approx(service.lst(law, s), abs=1e-14)
+        mean = start @ np.linalg.solve(-sub, np.ones(len(start)))
+        assert mean == pytest.approx(service.mean(law), rel=1e-14)
+
+    @pytest.mark.parametrize("law", [service.Deterministic(0.8), service.Pareto(1.5, 1.0)])
+    def test_non_phase_type_rejected(self, law):
+        with pytest.raises(UnsupportedTransform):
+            service.phase_type(law)
+
+
 class TestLstDerivative:
     def test_exponential_first(self):
         got = service.lst_derivative(service.Exponential(1.0), 1, 1.0)
@@ -199,10 +219,6 @@ class TestSampling:
 
 
 class TestValidation:
-    def test_close_hyperexp_rates_rejected(self):
-        with pytest.raises(ValueError, match="Erlang"):
-            service.HyperExponential((0.5, 0.5), (1.0, 1.0 + 1e-10))
-
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             service.HyperExponential((0.5, 0.6), (1.0, 2.0))

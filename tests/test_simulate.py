@@ -107,15 +107,17 @@ class TestSimulate:
 
 class TestArrivalProcess:
     def test_counts_match_mixture(self):
-        # arrivals in [0, t] with 3 outstanding vs the closed-form h_{3i}(t)
+        # arrivals in [0, t] with 3 outstanding vs h_{3i}(t), which is u_{3i}
+        # for Deterministic(t) service with no deadline
         plan = kernels.Proportional(0.7, 3)
         rng = np.random.default_rng(5)
         reps, t = 1_000_000, 1.1
         rates = kernels.plan_rates(plan)
         gaps = rng.exponential(1.0 / rates[::-1], size=(reps, 3))
         counts = (np.cumsum(gaps, axis=1) <= t).sum(axis=1)
+        row = kernels.build_tables(plan, service.Deterministic(t), 0.0).u[3]
         for i in range(4):
-            h = kernels.arrival_count_mixture(plan, 3, i)(t)
+            h = row[i]
             freq = (counts == i).astype(float)
             se = freq.std(ddof=1) / math.sqrt(reps)
             assert abs(freq.mean() - h) <= 4 * se

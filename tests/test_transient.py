@@ -16,8 +16,8 @@ EXP_TRIPLES = [(1.0, 1.0, 1.0), (0.6, 1.4, 0.3), (2.2, 0.9, 2.5)]
 def exponential_tables(plan, mu, gamma):
     """Kernel tables for Exp(mu) service from the race against min(B, T).
 
-    Products of race probabilities, so exact at any pool size, unlike the
-    partial-fraction tables, which lose digits to cancellation as m grows.
+    Products of race probabilities, exact at any pool size: an independent
+    reference for the built tables and a way to test the sweep on its own.
     """
     lams = kernels.plan_rates(plan)
     gm = gamma + mu
@@ -94,9 +94,8 @@ class TestPgf:
 
     @pytest.mark.parametrize("triple", EXP_TRIPLES)
     def test_matches_ctmc_resolvent_at_larger_pools(self, triple):
-        # Built Proportional tables are off by ~1e-7 at m = 25 (partial-
-        # fraction cancellation), so that case runs on exact race tables:
-        # what is checked here is the diagonal sweep.
+        # The Proportional case runs on exact race tables, so what is checked
+        # there is the diagonal sweep alone; the next test uses built tables.
         lam, mu, gamma = triple
         law = service.Exponential(mu)
         prop = kernels.Proportional(lam, 25)
@@ -107,6 +106,29 @@ class TestPgf:
             poly = transient.pgf(k, m, plan, law, gamma, tables=tables)
             marginal = simulate.ctmc_resolvent(k, m, plan, law, gamma).sum(axis=1)
             assert np.max(np.abs(poly.coeffs - marginal)) < 1e-10
+
+    @pytest.mark.parametrize("triple", EXP_TRIPLES)
+    def test_built_tables_match_ctmc_resolvent(self, triple):
+        lam, mu, gamma = triple
+        law = service.Exponential(mu)
+        plan = kernels.Proportional(lam, 25)
+        poly = transient.pgf(5, 25, plan, law, gamma)
+        marginal = simulate.ctmc_resolvent(5, 25, plan, law, gamma).sum(axis=1)
+        assert np.max(np.abs(poly.coeffs - marginal)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            kernels.Proportional(0.8, 60),
+            kernels.General(tuple(0.8 * (1 + 0.37 * j) for j in range(40))),
+        ],
+    )
+    def test_built_tables_match_race_tables_at_large_pools(self, plan):
+        exact = exponential_tables(plan, 1.3, 0.7)
+        built = kernels.build_tables(plan, service.Exponential(1.3), 0.7)
+        for n in range(plan.m + 1):
+            assert np.allclose(built.u[n], exact.u[n], rtol=1e-12, atol=0.0)
+            assert np.allclose(built.v[n], exact.v[n], rtol=1e-12, atol=0.0)
 
     def test_exponential_tables_match_built_tables(self):
         for plan in plans(6):
