@@ -11,9 +11,10 @@ arrive at the start of a service:
 * ``w[n][i]`` -- i arrivals during one service time, unconditionally:
   u at gamma = 0, derived on first access rather than built alongside.
 
-The outstanding count is a pure-death process with rates lambda_n, and the
-tables are built in one of two ways, neither of which forms alternating
-sums that grow with m:
+The outstanding count is a pure-death process with rates lambda_n, so a
+rate plan is just its vector (lambda_1, ..., lambda_m): one RatePlan,
+which Constant, Proportional and General build.  The tables are built in
+one of two ways, neither of which forms alternating sums that grow with m:
 
 * phase-type service (alpha, S) with exit vector s0 = -S 1: per row n,
   x_0 = alpha ((gamma + lambda_n) I - S)^{-1} and
@@ -39,48 +40,20 @@ from . import service
 from .service import Deterministic
 
 __all__ = [
+    "RatePlan",
     "Constant",
     "Proportional",
     "General",
-    "RatePlan",
     "plan_rates",
-    "pool_size",
     "KernelTables",
     "build_tables",
 ]
 
 
 @dataclass(frozen=True)
-class Constant:
-    """lambda_i = lam for every i: Poisson arrivals stopped after m."""
-
-    lam: float
-    m: int
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("rate must be positive")
-        if self.m < 0:
-            raise ValueError("pool size must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Proportional:
-    """lambda_i = i * lam: i.i.d. Exp(lam) arrival times (order statistics)."""
-
-    lam: float
-    m: int
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("rate must be positive")
-        if self.m < 0:
-            raise ValueError("pool size must be nonnegative")
-
-
-@dataclass(frozen=True)
-class General:
-    """Explicit rate vector (lambda_1, ..., lambda_m); rates may repeat."""
+class RatePlan:
+    """The rates (lambda_1, ..., lambda_m): lambda_n drives the next arrival
+    while n customers are still to come.  Rates may repeat."""
 
     rates: tuple
 
@@ -94,31 +67,33 @@ class General:
         return len(self.rates)
 
 
-RatePlan = Constant | Proportional | General
+def _check_rate_and_size(lam, m):
+    if lam <= 0:
+        raise ValueError("rate must be positive")
+    if m < 0:
+        raise ValueError("pool size must be nonnegative")
 
 
-def pool_size(plan):
-    return plan.m
+def Constant(lam, m):
+    """lambda_i = lam for every i: Poisson arrivals stopped after m."""
+    _check_rate_and_size(lam, m)
+    return RatePlan((lam,) * m)
+
+
+def Proportional(lam, m):
+    """lambda_i = i * lam: i.i.d. Exp(lam) arrival times (order statistics)."""
+    _check_rate_and_size(lam, m)
+    return RatePlan(lam * np.arange(1, m + 1))
+
+
+def General(rates):
+    """Explicit rate vector (lambda_1, ..., lambda_m)."""
+    return RatePlan(rates)
 
 
 def plan_rates(plan):
     """The vector (lambda_1, ..., lambda_m)."""
-    if isinstance(plan, Constant):
-        return np.full(plan.m, plan.lam)
-    if isinstance(plan, Proportional):
-        return plan.lam * np.arange(1, plan.m + 1)
     return np.asarray(plan.rates)
-
-
-def rate(plan, n):
-    """lambda_n, the rate of the next interarrival when n remain."""
-    if n < 1 or n > pool_size(plan):
-        raise IndexError("rate index out of range")
-    if isinstance(plan, Constant):
-        return plan.lam
-    if isinstance(plan, Proportional):
-        return n * plan.lam
-    return plan.rates[n - 1]
 
 
 def _expm(a):
@@ -187,7 +162,7 @@ class KernelTables:
     the gamma = 0 tables when gamma != 0.
     """
 
-    plan: object
+    plan: RatePlan
     law: object
     gamma: complex
     u: list

@@ -88,10 +88,13 @@ def sweep(k, m, tables, v_rows, row_factors, dtype):
     empty = np.zeros(size, dtype=dtype)
     mass = np.zeros(size, dtype=dtype)
     mass[m] = 1.0
+    # Python floats: numpy scalars are slower here and divide complex
+    # numbers with different rounding.
+    lams = kernels.plan_rates(tables.plan).tolist()
     for s in range(k + m, 0, -1):
         if s <= m:
             empty[s] = mass[s]
-            lam_s = kernels.rate(tables.plan, s)
+            lam_s = lams[s - 1]
             coeffs[0] += gamma / (gamma + lam_s) * mass[s]
             mass[s - 1] += lam_s / (gamma + lam_s) * mass[s]
         # States with l >= 1 on this diagonal: n = 0..top, l = s..s-top.

@@ -2,10 +2,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 import yaml
 
-from poolqueue import cli, kernels, service
+from poolqueue import cli, kernels, service, simulate, transient
 
 
 def run(argv, capsys):
@@ -41,12 +42,6 @@ class TestParsing:
             cli.parse_service("weibull:1")
         with pytest.raises(cli.UsageError):
             cli.parse_plan("general:1,2", 3)
-
-    def test_round_trip_strings(self):
-        for text in ("exp:1.5", "erlang:2,1", "hyperexp:0.4,1,0.6,3", "det:2"):
-            assert cli.service_string(cli.parse_service(text)) == text
-        for text, m in (("const:1.5", 2), ("prop:0.5", 3), ("general:1,2", 2)):
-            assert cli.plan_string(cli.parse_plan(text, m)) == text
 
 
 class TestSubcommands:
@@ -90,6 +85,20 @@ class TestSubcommands:
         assert code == 0
         assert "pass" in out
         assert "fail" not in out
+
+    def test_validate_pmf_deviate(self):
+        n = 200_000
+        # No hit on a level of probability 1e-8 is no evidence against it.
+        assert cli.frequency_deviate(0.0, 1e-8, n) <= 4.0
+        plan, law = kernels.Constant(1.0, 3), service.Exponential(1.0)
+        exact = transient.pmf(2, 3, plan, law, 1.0)
+        report = simulate.simulate(
+            simulate.SimConfig(k=2, m=3, plan=plan, law=law, gamma=1.0, replications=n, seed=3)
+        )
+        freqs = [est.value for est in report.kill_pmf]
+        assert max(cli.frequency_deviate(f, p, n) for f, p in zip(freqs, exact)) <= 4.0
+        shifted = np.roll(exact, 1)
+        assert max(cli.frequency_deviate(f, p, n) for f, p in zip(freqs, shifted)) > 4.0
 
     def test_waiting_table(self, capsys):
         code, out, _ = run(

@@ -57,6 +57,22 @@ class TestInvert:
         with pytest.warns(ConvergenceWarning):
             inversion.invert(lambda g: np.exp(-g), 1.0)
 
+    @pytest.mark.parametrize("t", [2.0, 4.0])
+    def test_cross_check_warns_on_nan(self, t):
+        # Talbot overflows to NaN on this Deterministic transform.
+        plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.warns(ConvergenceWarning, match="nan"):
+                inversion.pgf_at_time(1, 10, plan, law, 0.5, t)
+
+    def test_vector_transform(self):
+        pairs = KNOWN_PAIRS[:6]
+        got = inversion.invert(lambda g: np.array([f(g) for f, _ in pairs]), 1.3)
+        assert got.shape == (len(pairs),)
+        for value, (fhat, original) in zip(got, pairs):
+            assert value == pytest.approx(inversion.invert(fhat, 1.3), abs=1e-10)
+            assert value == pytest.approx(original(1.3), abs=1e-8)
+
     def test_requires_positive_time(self):
         with pytest.raises(DomainError):
             inversion.invert(lambda g: 1.0, 0.0)

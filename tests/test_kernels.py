@@ -30,10 +30,32 @@ class TestRatePlans:
         assert np.allclose(kernels.plan_rates(kernels.Proportional(0.5, 3)), [0.5, 1, 1.5])
         assert np.allclose(kernels.plan_rates(kernels.General((1.0, 2.0))), [1, 2])
 
-    def test_rate_lookup(self):
-        assert kernels.rate(kernels.Proportional(0.5, 4), 3) == pytest.approx(1.5)
-        with pytest.raises(IndexError):
-            kernels.rate(kernels.Constant(1.0, 2), 3)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda: kernels.Constant(0.0, 3),
+            lambda: kernels.Constant(-1.0, 0),
+            lambda: kernels.Constant(1.0, -1),
+            lambda: kernels.Proportional(0.0, 3),
+            lambda: kernels.Proportional(-0.5, 0),
+            lambda: kernels.Proportional(0.5, -2),
+            lambda: kernels.General((1.0, 0.0)),
+            lambda: kernels.General((-2.0,)),
+        ],
+    )
+    def test_constructors_reject_bad_input(self, bad):
+        with pytest.raises(ValueError):
+            bad()
+
+    def test_one_plan_type(self):
+        assert kernels.Constant(0.7, 3) == kernels.General((0.7,) * 3)
+        assert kernels.Constant(0.7, 0) == kernels.Proportional(0.3, 0)
+        assert kernels.Proportional(0.5, 4).m == 4
+
+    def test_proportional_rates_exact(self):
+        for lam, m in ((0.5, 4), (0.37, 60), (1.3, 250)):
+            got = kernels.plan_rates(kernels.Proportional(lam, m))
+            assert np.array_equal(got, lam * np.arange(1, m + 1))
 
 
 def arrival_probs(plan, t):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolqueue import service
+from poolqueue import kernels, service
 from poolqueue.errors import DomainError, UnsupportedTransform
 
 ALL_TRANSFORM_LAWS = [
@@ -64,82 +64,6 @@ class TestPhaseType:
             service.phase_type(law)
 
 
-class TestLstDerivative:
-    def test_exponential_first(self):
-        got = service.lst_derivative(service.Exponential(1.0), 1, 1.0)
-        assert got == pytest.approx(-0.25)
-
-    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
-    def test_zeroth_is_lst(self, law):
-        assert service.lst_derivative(law, 0, 0.7) == pytest.approx(
-            service.lst(law, 0.7), abs=1e-14
-        )
-
-    def test_deterministic_second(self):
-        got = service.lst_derivative(service.Deterministic(1.0), 2, 1.0)
-        assert got == pytest.approx(math.exp(-1.0))
-
-    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_matches_finite_difference(self, law, order):
-        # step sizes chosen per order to balance truncation and roundoff
-        h = {1: 1e-5, 2: 1e-3, 3: 1e-2}[order]
-        s = 0.9
-        vals = [service.lst(law, s + d * h) for d in range(-2, 3)]
-        if order == 1:
-            fd = (vals[3] - vals[1]) / (2 * h)
-        elif order == 2:
-            fd = (vals[3] - 2 * vals[2] + vals[1]) / h**2
-        else:
-            fd = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * h**3)
-        assert service.lst_derivative(law, order, s) == pytest.approx(fd, rel=1e-3)
-
-    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
-    @pytest.mark.parametrize("order", [0, 1, 5, 40, 250])
-    def test_scaled_form_consistent(self, law, order):
-        s = 1.1
-        scaled = service.lst_derivative_scaled(law, order, s)
-        if order <= 40:
-            plain = service.lst_derivative(law, order, s)
-            assert scaled == pytest.approx(plain / math.factorial(order), rel=1e-12)
-        else:
-            assert np.isfinite(scaled)
-
-
-class TestSurvivalTransform:
-    def test_exponential(self):
-        got = service.survival_transform_derivative(service.Exponential(1.0), 0, 1.0)
-        assert got == pytest.approx(0.5)
-
-    def test_deterministic(self):
-        got = service.survival_transform_derivative(service.Deterministic(1.0), 0, 1.0)
-        assert got == pytest.approx(1.0 - math.exp(-1.0))
-
-    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
-    def test_small_s_limit_is_mean(self, law):
-        got = service.survival_transform_derivative(law, 0, 1e-8)
-        assert got == pytest.approx(service.mean(law), rel=1e-6)
-
-    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
-    def test_sigma_beta_identity(self, law):
-        # s * sigma(s) + beta(s) = 1
-        rng = np.random.default_rng(7)
-        for s in rng.uniform(1e-3, 10.0, size=20):
-            sigma = service.survival_transform_derivative(law, 0, s)
-            assert s * sigma + service.lst(law, s) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
-    @pytest.mark.parametrize("order", [0, 1, 3, 40, 250])
-    def test_scaled_form_consistent(self, law, order):
-        s = 0.8
-        scaled = service.survival_transform_derivative_scaled(law, order, s)
-        if order <= 40:
-            plain = service.survival_transform_derivative(law, order, s)
-            assert scaled == pytest.approx(plain / math.factorial(order), rel=1e-10)
-        else:
-            assert np.isfinite(scaled)
-
-
 class TestCompleteMonotonicity:
     @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
     def test_beta_in_unit_interval_and_decreasing(self, law):
@@ -147,49 +71,6 @@ class TestCompleteMonotonicity:
         vals = [service.lst(law, s) for s in grid]
         assert all(0 < v < 1 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
-    @pytest.mark.parametrize("order", range(7))
-    def test_alternating_derivative_signs(self, law, order):
-        for s in (0.2, 1.0, 4.0):
-            val = service.lst_derivative(law, order, s)
-            assert (-1) ** order * val > 0
-
-
-class TestKilledSurvival:
-    def test_at_t_zero_is_lst(self):
-        got = service.killed_survival(service.Exponential(1.0), 1.0, 0.0)
-        assert got == pytest.approx(0.5)
-
-    def test_at_alpha_zero_is_tail(self):
-        got = service.killed_survival(service.Exponential(1.0), 0.0, 1.0)
-        assert got == pytest.approx(math.exp(-1.0))
-
-    def test_deterministic_past_value(self):
-        assert service.killed_survival(service.Deterministic(2.0), 1.0, 3.0) == 0.0
-
-    @pytest.mark.parametrize(
-        "law", [l for l in ALL_TRANSFORM_LAWS if not isinstance(l, service.Deterministic)]
-    )
-    def test_alpha_zero_matches_tail_continuous(self, law):
-        for t in (0.0, 0.3, 1.7, 5.0):
-            assert service.killed_survival(law, 0.0, t) == pytest.approx(
-                service.tail(law, t), abs=1e-12
-            )
-
-    @pytest.mark.parametrize(
-        "law", [l for l in ALL_TRANSFORM_LAWS if not isinstance(l, service.Deterministic)]
-    )
-    def test_terms_reproduce_function(self, law):
-        terms = service.killed_survival_terms(law, 0.7)
-        for t in (0.0, 0.4, 1.3, 3.0):
-            direct = service.killed_survival(law, 0.7, t)
-            series = sum(c * t**p * np.exp(-r * t) for c, p, r in terms)
-            assert series == pytest.approx(direct, abs=1e-13)
-
-    def test_deterministic_has_no_terms(self):
-        with pytest.raises(UnsupportedTransform):
-            service.killed_survival_terms(service.Deterministic(1.0), 0.5)
 
 
 class TestTailAndMean:
@@ -202,6 +83,16 @@ class TestTailAndMean:
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_tail_at_zero(self, law):
         assert service.tail(law, 0.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "law", [l for l in ALL_TRANSFORM_LAWS if not isinstance(l, service.Deterministic)]
+    )
+    def test_tail_matches_phase_type_survival(self, law):
+        # P(B > t) = alpha e^{S t} 1 for the phase-type representation.
+        start, sub = service.phase_type(law)
+        for t in (0.0, 0.3, 1.7, 5.0):
+            survival = start @ kernels._expm(sub * t) @ np.ones(len(start))
+            assert service.tail(law, t) == pytest.approx(survival, abs=1e-13)
 
 
 class TestSampling:
