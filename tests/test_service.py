@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,75 @@ ALL_TRANSFORM_LAWS = [
 ]
 
 ALL_LAWS = ALL_TRANSFORM_LAWS + [service.Pareto(1.5, 1.0)]
+
+
+def lst_derivative_scaled(law, order, s):
+    """beta^(order)(s) / order!, read from the kernel tables.
+
+    With gamma = 0 and Constant(s) arrivals, entry k < n of row n of u is
+    E[e^{-sB} (sB)^k / k!] = (-s)^k beta^(k)(s) / k!.
+    """
+    tables = kernels.build_tables(kernels.Constant(s, order + 1), law, 0.0)
+    return tables.u[order + 1][order] / (-s) ** order
+
+
+def lst_derivative(law, order, s):
+    return math.factorial(order) * lst_derivative_scaled(law, order, s)
+
+
+def survival_transform_derivative_scaled(law, order, s):
+    """sigma^(order)(s) / order!, sigma(s) = int_0^inf e^{-st} P(B > t) dt,
+    read from the kernel tables.
+
+    With gamma = lam = s / 2, entry k < n of row n of v is
+    gamma int_0^inf e^{-st} (lam t)^k / k! P(B > t) dt
+    = gamma (-lam)^k sigma^(k)(s) / k!.
+    """
+    half = s / 2
+    tables = kernels.build_tables(kernels.Constant(half, order + 1), law, half)
+    return tables.v[order + 1][order] / (half * (-half) ** order)
+
+
+def survival_transform_derivative(law, order, s):
+    return math.factorial(order) * survival_transform_derivative_scaled(law, order, s)
+
+
+def closed_lst_derivative_scaled(law, order, s):
+    k = order
+    if isinstance(law, service.Exponential):
+        return (-1) ** k * law.rate / (law.rate + s) ** (k + 1)
+    if isinstance(law, service.Erlang):
+        c, r = law.shape, law.rate
+        return (-1) ** k * math.comb(c + k - 1, k) * r**c / (r + s) ** (c + k)
+    if isinstance(law, service.HyperExponential):
+        return sum(
+            (-1) ** k * q * r / (r + s) ** (k + 1) for q, r in zip(law.weights, law.rates)
+        )
+    d = law.value
+    return (-1) ** k * math.exp(k * math.log(d) - s * d - math.lgamma(k + 1))
+
+
+def closed_survival_transform_derivative_scaled(law, order, s):
+    # (-1)^k int_0^inf t^k / k! e^{-st} P(B > t) dt
+    k = order
+    if isinstance(law, service.Deterministic):
+        return (-1) ** k * scipy.special.gammainc(k + 1, s * law.value) / s ** (k + 1)
+    start, sub = service.phase_type(law)
+    resolvent = s * np.eye(len(start)) - sub
+    x = np.ones(len(start))
+    for _ in range(k + 1):
+        x = np.linalg.solve(resolvent, x)
+    return (-1) ** k * start @ x
+
+
+def closed_form_tolerance(law):
+    # The Deterministic tables come from a matrix exponential, whose tiny
+    # entries are accurate in absolute rather than relative terms; the
+    # phase-type recursion multiplies nonnegative factors and keeps relative
+    # accuracy at every order.
+    if isinstance(law, service.Deterministic):
+        return {"rel": 1e-12, "abs": 1e-16}
+    return {"rel": 1e-12}
 
 
 class TestLst:
@@ -64,6 +134,76 @@ class TestPhaseType:
             service.phase_type(law)
 
 
+class TestLstDerivative:
+    def test_exponential_first(self):
+        got = lst_derivative(service.Exponential(1.0), 1, 1.0)
+        assert got == pytest.approx(-0.25)
+
+    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
+    def test_zeroth_is_lst(self, law):
+        assert lst_derivative(law, 0, 0.7) == pytest.approx(service.lst(law, 0.7), abs=1e-14)
+
+    def test_deterministic_second(self):
+        got = lst_derivative(service.Deterministic(1.0), 2, 1.0)
+        assert got == pytest.approx(math.exp(-1.0))
+
+    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_finite_difference(self, law, order):
+        # step sizes chosen per order to balance truncation and roundoff
+        h = {1: 1e-5, 2: 1e-3, 3: 1e-2}[order]
+        s = 0.9
+        vals = [service.lst(law, s + d * h) for d in range(-2, 3)]
+        if order == 1:
+            fd = (vals[3] - vals[1]) / (2 * h)
+        elif order == 2:
+            fd = (vals[3] - 2 * vals[2] + vals[1]) / h**2
+        else:
+            fd = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * h**3)
+        assert lst_derivative(law, order, s) == pytest.approx(fd, rel=1e-3)
+
+    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
+    @pytest.mark.parametrize("order", [0, 1, 5, 40, 250])
+    def test_scaled_form_consistent(self, law, order):
+        s = 1.1
+        got = lst_derivative_scaled(law, order, s)
+        expected = closed_lst_derivative_scaled(law, order, s)
+        assert np.isfinite(got)
+        assert got == pytest.approx(expected, **closed_form_tolerance(law))
+
+
+class TestSurvivalTransform:
+    def test_exponential(self):
+        got = survival_transform_derivative(service.Exponential(1.0), 0, 1.0)
+        assert got == pytest.approx(0.5)
+
+    def test_deterministic(self):
+        got = survival_transform_derivative(service.Deterministic(1.0), 0, 1.0)
+        assert got == pytest.approx(1.0 - math.exp(-1.0))
+
+    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
+    def test_small_s_limit_is_mean(self, law):
+        got = survival_transform_derivative(law, 0, 1e-8)
+        assert got == pytest.approx(service.mean(law), rel=1e-6)
+
+    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
+    def test_sigma_beta_identity(self, law):
+        # s * sigma(s) + beta(s) = 1
+        rng = np.random.default_rng(7)
+        for s in rng.uniform(1e-3, 10.0, size=20):
+            sigma = survival_transform_derivative(law, 0, s)
+            assert s * sigma + service.lst(law, s) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
+    @pytest.mark.parametrize("order", [0, 1, 3, 40, 250])
+    def test_scaled_form_consistent(self, law, order):
+        s = 0.8
+        got = survival_transform_derivative_scaled(law, order, s)
+        expected = closed_survival_transform_derivative_scaled(law, order, s)
+        assert np.isfinite(got)
+        assert got == pytest.approx(expected, **closed_form_tolerance(law))
+
+
 class TestCompleteMonotonicity:
     @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
     def test_beta_in_unit_interval_and_decreasing(self, law):
@@ -71,6 +211,13 @@ class TestCompleteMonotonicity:
         vals = [service.lst(law, s) for s in grid]
         assert all(0 < v < 1 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("law", ALL_TRANSFORM_LAWS)
+    @pytest.mark.parametrize("order", range(7))
+    def test_alternating_derivative_signs(self, law, order):
+        for s in (0.2, 1.0, 4.0):
+            val = lst_derivative(law, order, s)
+            assert (-1) ** order * val > 0
 
 
 class TestTailAndMean:
