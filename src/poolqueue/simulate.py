@@ -1,12 +1,16 @@
 """Independent oracles: Monte Carlo simulation and exact CTMC computations.
 
 The Monte Carlo path replays the model directly -- draw the interarrival
-chain and all service times, run the FIFO single-server recursion -- and
-therefore shares no code with the transform pipeline it validates.  For
-exponential service the model is a finite continuous-time Markov chain on
-(customers present, customers yet to arrive); its distribution at an
-exponential deadline (resolvent) or a fixed time (uniformization) gives
-exact reference values.
+chain and all service times, run the FIFO single-server recursion over
+cache-sized blocks of replications -- and therefore shares no code with the
+transform pipeline it validates.  Level probabilities are estimated from
+per-level hit counts.  For exponential service the model is a finite
+continuous-time Markov chain on (customers present, customers yet to
+arrive).  Every transition lowers the yet-to-arrive count or, keeping it,
+the number present, so the chain is acyclic: its distribution at an
+exponential deadline (resolvent) follows by forward substitution in O(states)
+time and memory.  Its distribution at a fixed time comes from uniformization
+of the dense generator, which caps the state space.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +23,8 @@ from .service import Exponential
 
 __all__ = ["SimConfig", "SimReport", "simulate", "ctmc_resolvent", "ctmc_at_time"]
 
-_CHUNK = 200_000
+_CHUNK = 200_000  # replications per Philox substream
+_BLOCK = 2048  # rows per pass of the FIFO recursion, sized to stay in cache
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,13 @@ class SimConfig:
             raise ValueError("need at least one replication")
         if self.k < 0 or self.m < 0:
             raise ValueError("k and m must be nonnegative")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError("gamma must be positive or None")
+        if any(not t >= 0 for t in self.times):
+            raise ValueError("times must be nonnegative")
+        for j, t in self.tail_points:
+            if not 1 <= j <= self.k + self.m or not t >= 0:
+                raise ValueError(f"tail point {(j, t)} needs 1 <= j <= k+m and t >= 0")
 
 
 @dataclass
@@ -94,6 +106,13 @@ class _Acc:
         self.s += block.sum(axis=0)
         self.s2 += (block * block).sum(axis=0)
 
+    def add_counts(self, counts, n):
+        """Add n indicator rows given only their column sums; an indicator
+        squared is itself, so both sums are the counts."""
+        self.n += n
+        self.s += counts
+        self.s2 += counts
+
     def estimates(self):
         mean = self.s / self.n
         var = np.maximum(self.s2 / self.n - mean**2, 0.0)
@@ -113,7 +132,10 @@ def _replay(config, rng, n_rep):
     """One vectorized batch of FIFO sample paths.
 
     Returns (arrival, start, depart) arrays of shape (n_rep, k+m); the
-    first k columns are the customers already present at time zero.
+    first k columns are the customers already present at time zero.  The
+    recursion start_j = max(arrival_j, depart_{j-1}) runs column by column
+    within blocks of _BLOCK rows, so each block's columns stay in cache; the
+    draws do not depend on the blocking.
     """
     k, m = config.k, config.m
     total = k + m
@@ -121,15 +143,19 @@ def _replay(config, rng, n_rep):
     if m:
         rates = kernels.plan_rates(config.plan)  # lambda_1..lambda_m
         gaps = rng.exponential(1.0 / rates[::-1], size=(n_rep, m))
-        arrivals[:, k:] = np.cumsum(gaps, axis=1)
+        np.cumsum(gaps, axis=1, out=arrivals[:, k:])
+        del gaps
     services = service.sample(config.law, rng, size=(n_rep, total))
-    start = np.zeros((n_rep, total))
-    depart = np.zeros((n_rep, total))
-    prev_depart = np.zeros(n_rep)
-    for j in range(total):
-        start[:, j] = np.maximum(arrivals[:, j], prev_depart)
-        prev_depart = start[:, j] + services[:, j]
-        depart[:, j] = prev_depart
+    start = np.empty((n_rep, total))
+    depart = np.empty((n_rep, total))
+    for lo in range(0, n_rep, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        arr, srv, st, dep = arrivals[rows], services[rows], start[rows], depart[rows]
+        prev_depart = np.zeros(arr.shape[0])
+        for j in range(total):
+            np.maximum(arr[:, j], prev_depart, out=st[:, j])
+            np.add(st[:, j], srv[:, j], out=dep[:, j])
+            prev_depart = dep[:, j]
     return arrivals, start, depart
 
 
@@ -172,12 +198,11 @@ def simulate(config):
             acc_wait.add(start - arrivals)
         for (j, t), acc in acc_tail.items():
             w = start[:, j - 1] - arrivals[:, j - 1]
-            acc.add((w > t).astype(float)[:, None])
+            acc.add_counts(np.count_nonzero(w > t), n_rep)
         if config.gamma is not None:
             kill = rng.exponential(1.0 / config.gamma, size=n_rep)[:, None]
             z_at_kill = _count_at(arrivals, depart, kill)
-            ind = z_at_kill[:, None] == np.arange(levels)[None, :]
-            acc_kill.add(ind.astype(float))
+            acc_kill.add_counts(np.bincount(z_at_kill, minlength=levels), n_rep)
             for z, acc in acc_pgf.items():
                 acc.add((float(z) ** z_at_kill)[:, None])
             if acc_work:
@@ -186,8 +211,7 @@ def simulate(config):
                     acc.add(np.exp(-float(a) * wl)[:, None])
         for t, acc in acc_time.items():
             z_at_t = _count_at(arrivals, depart, float(t))
-            ind = z_at_t[:, None] == np.arange(levels)[None, :]
-            acc.add(ind.astype(float))
+            acc.add_counts(np.bincount(z_at_t, minlength=levels), n_rep)
         remaining -= n_rep
         chunk_index += 1
 
@@ -207,10 +231,15 @@ def _state_index(ell, n, m):
     return ell * (m + 1) + n
 
 
-def _generator(k, m, plan, law):
+def _service_rate(law):
     if not isinstance(law, Exponential):
         raise UnsupportedOracle("exact CTMC oracles require exponential service")
-    mu = law.rate
+    return law.rate
+
+
+def _generator(k, m, plan, law):
+    """Dense generator of the (ell, n) chain for ctmc_at_time."""
+    mu = _service_rate(law)
     size = (k + m + 1) * (m + 1)
     if size > 10_000:
         raise ValueError("CTMC state space too large")
@@ -235,15 +264,35 @@ def ctmc_resolvent(k, m, plan, law, gamma):
     """Exact distribution of (Z, still-to-arrive) at an Exp(gamma) deadline.
 
     Returns an array P[ell, n]; the marginal over n matches the pgf
-    coefficients from the transform recursion.
+    coefficients from the transform recursion.  An arrival moves (ell, n)
+    to (ell+1, n-1) at rate lambda_n and a departure to (ell-1, n) at rate
+    mu, so taking n from m down to 0 and, within n, ell from k+m-n down to
+    0 visits every state after both of its predecessors:
+
+        P[ell, n] = (gamma 1{(ell, n) = (k, m)} + lambda_{n+1} P[ell-1, n+1]
+                     + mu P[ell+1, n]) / (gamma + lambda_n + mu 1{ell >= 1}).
+
+    States with ell + n > k + m are unreachable and stay zero.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    Q, size = _generator(k, m, plan, law)
-    e = np.zeros(size)
-    e[_state_index(k, m, m)] = gamma
-    dist = np.linalg.solve((gamma * np.eye(size) - Q).T, e)
-    return dist.reshape(k + m + 1, m + 1)
+    mu = _service_rate(law)
+    top = k + m
+    rates = [0.0, *kernels.plan_rates(plan)[:m].tolist(), 0.0]  # lambda_0..lambda_{m+1}
+    dist = np.zeros((top + 1, m + 1))
+    above = [0.0] * (top + 1)  # P[., n+1]
+    for n in range(m, -1, -1):
+        lam_in, leave = rates[n + 1], gamma + rates[n]
+        col = [0.0] + [lam_in * p for p in above[:top]]  # arrivals into (ell, n)
+        if n == m:
+            col[k] += gamma
+        right = 0.0  # P[ell+1, n]
+        for ell in range(top - n, -1, -1):
+            right = (col[ell] + mu * right) / (leave + (mu if ell else 0.0))
+            col[ell] = right
+        dist[:, n] = col
+        above = col
+    return dist
 
 
 def ctmc_at_time(k, m, plan, law, t):

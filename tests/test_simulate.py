@@ -7,6 +7,43 @@ from poolqueue import kernels, service, simulate, transient
 from poolqueue.errors import UnsupportedOracle
 
 
+LAWS = [
+    service.Exponential(1.3),
+    service.Erlang(2, 2.0),
+    service.HyperExponential((0.3, 0.7), (0.5, 2.0)),
+    service.Deterministic(0.8),
+    service.Pareto(1.5, 1.0),
+]
+
+
+def reference_replay(config, rng, n_rep):
+    """The FIFO recursion one whole column at a time, with the same draws."""
+    k, m = config.k, config.m
+    total = k + m
+    arrivals = np.zeros((n_rep, total))
+    if m:
+        rates = kernels.plan_rates(config.plan)
+        gaps = rng.exponential(1.0 / rates[::-1], size=(n_rep, m))
+        arrivals[:, k:] = np.cumsum(gaps, axis=1)
+    services = service.sample(config.law, rng, size=(n_rep, total))
+    start = np.zeros((n_rep, total))
+    depart = np.zeros((n_rep, total))
+    prev_depart = np.zeros(n_rep)
+    for j in range(total):
+        start[:, j] = np.maximum(arrivals[:, j], prev_depart)
+        prev_depart = start[:, j] + services[:, j]
+        depart[:, j] = prev_depart
+    return arrivals, start, depart
+
+
+def dense_resolvent(k, m, plan, law, gamma):
+    """Resolvent by one dense solve against the CTMC generator."""
+    Q, size = simulate._generator(k, m, plan, law)
+    e = np.zeros(size)
+    e[simulate._state_index(k, m, m)] = gamma
+    return np.linalg.solve((gamma * np.eye(size) - Q).T, e).reshape(k + m + 1, m + 1)
+
+
 def config(**overrides):
     base = dict(
         k=1,
@@ -79,6 +116,16 @@ class TestSimulate:
             for level, est in enumerate(report.time_pmf[t]):
                 assert abs(est.value - ref[level]) <= 4 * max(est.stderr, 1e-12)
 
+    def test_level_stderr_is_binomial(self):
+        # level estimates are hit frequencies: stderr = sqrt(p (1 - p) / N)
+        cfg = config(k=2, m=3, plan=kernels.Constant(0.8, 3), times=(1.5,),
+                     tail_points=((3, 0.4),), replications=20_000)
+        report = simulate.simulate(cfg)
+        ests = report.kill_pmf + report.time_pmf[1.5] + [report.waiting_tail[(3, 0.4)]]
+        for est in ests:
+            p = est.value
+            assert est.stderr == pytest.approx(math.sqrt(p * (1 - p) / 20_000), rel=1e-9)
+
     def test_probabilities_in_unit_interval(self):
         report = simulate.simulate(config(replications=50_000))
         for est in report.kill_pmf:
@@ -103,6 +150,36 @@ class TestSimulate:
             config(replications=0)
         with pytest.raises(ValueError):
             config(k=-1)
+        for gamma in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                config(gamma=gamma)
+        for t in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                config(times=(1.0, t))
+        # k = m = 1: customers j = 1 and 2 exist
+        for point in ((0, 0.5), (3, 0.5), (-1, 0.5), (1, -0.1)):
+            with pytest.raises(ValueError):
+                config(tail_points=(point,))
+        config(gamma=None, times=(0.0,), tail_points=((1, 0.0), (2, 1.0)))
+
+    @pytest.mark.parametrize("n_rep", [1, 2047, 2049, 5000])
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+    def test_replay_matches_column_loop(self, law, n_rep):
+        cfg = config(k=3, m=5, plan=kernels.Proportional(0.4, 5), law=law)
+        got = simulate._replay(cfg, simulate._chunk_rng(11, 0), n_rep)
+        want = reference_replay(cfg, simulate._chunk_rng(11, 0), n_rep)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k,m", [(0, 4), (4, 0), (0, 0)])
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+    def test_replay_edges(self, law, k, m):
+        cfg = config(k=k, m=m, plan=kernels.Constant(0.9, m), law=law)
+        got = simulate._replay(cfg, simulate._chunk_rng(5, 0), 2049)
+        want = reference_replay(cfg, simulate._chunk_rng(5, 0), 2049)
+        for a, b in zip(got, want):
+            assert a.shape == (2049, k + m)
+            assert np.array_equal(a, b)
 
 
 class TestArrivalProcess:
@@ -192,3 +269,42 @@ class TestCtmcOracles:
         marginal = simulate.ctmc_resolvent(2, 2, cfg.plan, cfg.law, 1.0).sum(axis=1)
         for level, est in enumerate(report.kill_pmf):
             assert abs(est.value - marginal[level]) <= 4 * max(est.stderr, 1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.7])
+    @pytest.mark.parametrize(
+        "make_plan",
+        [
+            lambda m: kernels.Constant(0.9, m),
+            lambda m: kernels.Proportional(0.15, m),
+            lambda m: kernels.General(tuple(0.2 + 0.37 * (i * 7 % 5) for i in range(m))),
+        ],
+        ids=["constant", "proportional", "general"],
+    )
+    def test_resolvent_matches_dense_solve(self, make_plan, gamma):
+        law = service.Exponential(1.3)
+        for k, m in [(0, 0), (1, 0), (0, 1), (2, 3), (0, 12), (9, 4), (6, 28)]:
+            plan = make_plan(m)
+            got = simulate.ctmc_resolvent(k, m, plan, law, gamma)
+            want = dense_resolvent(k, m, plan, law, gamma)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_resolvent_ignores_rates_past_m(self):
+        law = service.Exponential(1.0)
+        got = simulate.ctmc_resolvent(2, 3, kernels.Constant(0.7, 6), law, 0.9)
+        want = simulate.ctmc_resolvent(2, 3, kernels.Constant(0.7, 3), law, 0.9)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "plan", [kernels.Constant(0.9, 200), kernels.Proportional(0.01, 200)],
+        ids=["constant", "proportional"],
+    )
+    def test_resolvent_large_pool(self, plan):
+        # 221 x 201 = 44 421 states, past the dense generator's cap
+        law = service.Exponential(1.1)
+        with pytest.raises(ValueError):
+            simulate._generator(20, 200, plan, law)
+        dist = simulate.ctmc_resolvent(20, 200, plan, law, 0.3)
+        exact = transient.pgf(20, 200, plan, law, 0.3).coeffs
+        assert np.max(np.abs(dist.sum(axis=1) - exact)) <= 1e-12
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
