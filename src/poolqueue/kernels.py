@@ -1,15 +1,13 @@
 """Arrival-count kernels for the finite customer pool.
 
-Three triangular probability tables drive everything downstream, indexed by
+Two triangular probability tables drive everything downstream, indexed by
 (n, i) with 0 <= i <= n <= m, n being the number of customers still to
 arrive at the start of a service:
 
 * ``u[n][i]`` -- i arrivals during one service time, jointly with the
   independent Exp(gamma) deadline outlasting the service;
 * ``v[n][i]`` -- i arrivals before the deadline, jointly with the deadline
-  falling inside the service;
-* ``w[n][i]`` -- i arrivals during one service time, unconditionally:
-  u at gamma = 0, derived on first access rather than built alongside.
+  falling inside the service.
 
 The outstanding count is a pure-death process with rates lambda_n, so a
 rate plan is just its vector (lambda_1, ..., lambda_m): one RatePlan,
@@ -25,10 +23,14 @@ one of two ways, neither of which forms alternating sums that grow with m:
   [[(L - gamma I) d, d I], [0, 0]], L being the death generator, whose
   top-left block holds u and whose top-right block holds v / gamma, at
   [n, n - i].
+
+kernel_rows returns u together with a multiple of the gamma-free kill
+kernel r(a), whose entries also carry E[e^{-a R}] of the residual service R
+at the kill (bottom-right block -a d I for Deterministic): v = gamma r(0),
+and the waiting-time transforms read r(a) at gamma = 0.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import ceil, log2
 
 import numpy as np
@@ -45,6 +47,7 @@ __all__ = [
     "Proportional",
     "General",
     "plan_rates",
+    "kernel_rows",
     "KernelTables",
     "build_tables",
 ]
@@ -150,6 +153,31 @@ def _phase_rows(plan, start, sub, gamma, cols):
     return rows
 
 
+def kernel_rows(plan, law, gamma, alpha, scale):
+    """Rows n = 0..m of u and of scale * r(alpha) at killing rate gamma.
+
+    r_{ni}(alpha) integrates e^{-gamma t} E[e^{-alpha(B-t)} ; i arrivals by
+    t, t < B] over t, so v = gamma r(0): the tables pass scale = gamma and
+    the waiting times scale = 1.  Phase-type: u_{ni} = x_i s0 and
+    r_{ni} = x_i (alpha I - S)^{-1} s0, the residual service after t being
+    PH from the phase it is in.  Deterministic: the two blocks of one
+    exponential, the second carrying the factor e^{-alpha(d - t)}.
+    """
+    if isinstance(law, Deterministic):
+        growth, integral = _death_blocks(plan, law.value, gamma, alpha)
+        size = len(growth)
+        return (
+            [growth[n, n::-1] for n in range(size)],
+            [scale * integral[n, n::-1] for n in range(size)],
+        )
+    start, sub = service.phase_type(law)
+    exit_rates = -sub.sum(axis=1)
+    residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)
+    cols = np.stack([exit_rates, scale * residual], axis=1)
+    rows = _phase_rows(plan, start, sub, gamma, cols)
+    return [row[:, 0] for row in rows], [row[:, 1] for row in rows]
+
+
 @dataclass(frozen=True)
 class KernelTables:
     """Triangular kernel tables at a fixed killing rate.
@@ -157,9 +185,7 @@ class KernelTables:
     ``u`` and ``v`` are lists of arrays; row n has entries i = 0..n, built
     by the phase-type recursion or, for Deterministic service, by the block
     matrix exponential (see the module docstring).  Row sums are beta(gamma)
-    and 1 - beta(gamma) up to rounding.  ``w`` is ``u`` at gamma = 0, in the
-    same layout with row sums 1; it is derived on first access, by building
-    the gamma = 0 tables when gamma != 0.
+    and 1 - beta(gamma) up to rounding.
     """
 
     plan: RatePlan
@@ -168,28 +194,10 @@ class KernelTables:
     u: list
     v: list
 
-    @cached_property
-    def w(self):
-        if self.gamma == 0:
-            return self.u
-        return build_tables(self.plan, self.law, 0.0).u
-
     def v_alpha(self, alpha):
-        """Rows n = 0..m of E[e^{-alpha(B-T)} ; i arrivals by T, T <= B].
-
-        Phase-type: gamma x_i (alpha I - S)^{-1} s0, the residual service
-        after the deadline being PH from the phase it is in.  Deterministic:
-        gamma times the top-right block of the exponential, which carries
-        the factor e^{-alpha(d - t)}.  At alpha = 0 the rows are v.
-        """
-        gamma = self.gamma
-        if isinstance(self.law, Deterministic):
-            _, integral = _death_blocks(self.plan, self.law.value, gamma, alpha)
-            return [gamma * integral[n, n::-1] for n in range(len(integral))]
-        start, sub = service.phase_type(self.law)
-        exit_rates = -sub.sum(axis=1)
-        residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)
-        return _phase_rows(self.plan, start, sub, gamma, gamma * residual)
+        """Rows n = 0..m of E[e^{-alpha(B-T)} ; i arrivals by T, T <= B]:
+        gamma r(alpha) (see kernel_rows).  At alpha = 0 the rows are v."""
+        return kernel_rows(self.plan, self.law, self.gamma, alpha, self.gamma)[1]
 
 
 def build_tables(plan, law, gamma):
@@ -197,18 +205,9 @@ def build_tables(plan, law, gamma):
 
     gamma may be complex (inversion contours evaluate the whole pipeline at
     complex killing rates); the [0,1] range only applies when it is real.
-    At gamma = 0 the deadline is infinite: v vanishes and u is w.
+    At gamma = 0 the deadline is infinite: v vanishes and u has row sums 1.
     Laws that are neither phase-type nor Deterministic raise
     UnsupportedTransform.
     """
-    if isinstance(law, Deterministic):
-        growth, integral = _death_blocks(plan, law.value, gamma, 0.0)
-        u = [growth[n, n::-1] for n in range(len(growth))]
-        v = [gamma * integral[n, n::-1] for n in range(len(integral))]
-    else:
-        start, sub = service.phase_type(law)
-        cols = np.stack([-sub.sum(axis=1), np.full(len(start), gamma)], axis=1)
-        rows = _phase_rows(plan, start, sub, gamma, cols)
-        u = [row[:, 0] for row in rows]
-        v = [row[:, 1] for row in rows]
+    u, v = kernel_rows(plan, law, gamma, 0.0, gamma)
     return KernelTables(plan=plan, law=law, gamma=gamma, u=u, v=v)

@@ -13,8 +13,9 @@ by-products and keeps normalization testable.
 The same sweep, with the v-kernel replaced by its workload-extended version
 and a per-row factor beta(alpha)^{l-1}, yields the joint transform
 E[z^{Z} e^{-alpha W}] of queue length and remaining work at the deadline.
-Run at gamma = 0, the mass it finds on each empty state gives the
-probabilities that arriving customers find the system empty (waiting).
+Run at gamma = 0 with deposits that carry the residual service, it gives
+every arriving customer's waiting-time transform: the mass on the empty
+states plus the mass deposited per count still to arrive (waiting).
 """
 
 from dataclasses import dataclass
@@ -61,41 +62,46 @@ class JointTransformValue:
         return np.polynomial.polynomial.polyval(z, self.coeffs)
 
 
-def sweep(k, m, tables, v_rows, row_factors, dtype):
+def sweep(k, m, plan, gamma, u_rows, v_rows, row_factors, dtype):
     """Push unit mass from (k, m) down the diagonals s = l + n of the chain.
 
     Every service completion lowers l + n by one, so the mass on diagonal s
     is a vector over n (with l = s - n) and one step maps it to diagonal
-    s - 1 through U[n, n-i] = u_{ni}.  Mass killed during a service from
+    s - 1 through U[n, n-i] = u_rows[n][i].  Mass killed during a service from
     (l, n) lands on coefficient l + i = s - (n - i) with weight
     row_factors[l] * v_rows[n][i].  The empty state (0, s) is resolved
     within its diagonal first: killed onto coefficient 0 with probability
     gamma / (gamma + lambda_s), otherwise moved to (1, s - 1).
 
-    Returns (coeffs, empty): the k + m + 1 deposited coefficients, and
-    empty[s], the mass on (0, s) just before it is resolved, for s = 0..m.
-    At gamma = 0 nothing is killed, so empty[s] is the probability that
-    the system is empty just after departure k + m - s.
+    Returns (coeffs, empty, outstanding): the k + m + 1 deposited
+    coefficients; empty[s], the mass on (0, s) just before it is resolved,
+    for s = 0..m; and outstanding[n'], the killed mass grouped by the count
+    n' = n - i still to arrive, the empty-state kills and the final (0, 0)
+    mass included.  At gamma = 0 nothing is killed, so empty[s] is the
+    probability that the system is empty just after departure k + m - s.
+    At a real deadline outstanding is the law of the count still to arrive.
     """
-    gamma = tables.gamma
     size = m + 1
     step = np.zeros((size, size), dtype=dtype)
     deposit = np.zeros((size, size), dtype=dtype)
     for n in range(size):
-        step[n, : n + 1] = tables.u[n][::-1]
+        step[n, : n + 1] = u_rows[n][::-1]
         deposit[n, : n + 1] = v_rows[n][::-1]
     coeffs = np.zeros(k + m + 1, dtype=dtype)
     empty = np.zeros(size, dtype=dtype)
+    outstanding = np.zeros(size, dtype=dtype)
     mass = np.zeros(size, dtype=dtype)
     mass[m] = 1.0
     # Python floats: numpy scalars are slower here and divide complex
     # numbers with different rounding.
-    lams = kernels.plan_rates(tables.plan).tolist()
+    lams = kernels.plan_rates(plan).tolist()
     for s in range(k + m, 0, -1):
         if s <= m:
             empty[s] = mass[s]
             lam_s = lams[s - 1]
-            coeffs[0] += gamma / (gamma + lam_s) * mass[s]
+            killed = gamma / (gamma + lam_s) * mass[s]
+            coeffs[0] += killed
+            outstanding[s] += killed
             mass[s - 1] += lam_s / (gamma + lam_s) * mass[s]
         # States with l >= 1 on this diagonal: n = 0..top, l = s..s-top.
         top = min(s - 1, m)
@@ -103,12 +109,14 @@ def sweep(k, m, tables, v_rows, row_factors, dtype):
         scaled = busy * row_factors[s - top : s + 1][::-1]
         killed = scaled @ deposit[: top + 1, : top + 1]
         coeffs[s - top : s + 1] += killed[::-1]
+        outstanding[: top + 1] += killed
         mass = np.zeros(size, dtype=dtype)
         mass[: top + 1] = busy @ step[: top + 1, : top + 1]
     # (0, 0): nobody present and nobody left to arrive.
     empty[0] = mass[0]
     coeffs[0] += mass[0]
-    return coeffs, empty
+    outstanding[0] += mass[0]
+    return coeffs, empty, outstanding
 
 
 def pgf(k, m, plan, law, gamma, tables=None):
@@ -124,7 +132,7 @@ def pgf(k, m, plan, law, gamma, tables=None):
         tables = kernels.build_tables(plan, law, gamma)
     dtype = complex if np.iscomplexobj(gamma) else float
     row_factors = np.ones(k + m + 1, dtype=dtype)
-    coeffs, _ = sweep(k, m, tables, tables.v, row_factors, dtype)
+    coeffs, _, _ = sweep(k, m, plan, gamma, tables.u, tables.v, row_factors, dtype)
     return PgfPolynomial(coeffs=coeffs)
 
 
@@ -147,7 +155,7 @@ def joint_transform(k, m, plan, law, gamma, alpha, tables=None):
     row_factors = np.empty(k + m + 1, dtype=complex)
     row_factors[0] = 1.0
     row_factors[1:] = beta_a ** np.arange(0, k + m)
-    coeffs, _ = sweep(k, m, tables, v_rows, row_factors, complex)
+    coeffs, _, _ = sweep(k, m, plan, gamma, tables.u, v_rows, row_factors, complex)
     return JointTransformValue(alpha=alpha, coeffs=coeffs)
 
 

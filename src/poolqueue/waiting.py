@@ -1,15 +1,18 @@
 """Waiting times under FIFO: transforms, means, and heavy-tail asymptotics.
 
 Customers are numbered 1..k+m in service order: the k initially present
-(waiting measured from time zero) followed by the m arrivals.  The waiting
-time of an arriving customer satisfies a Lindley recursion against the
-memoryless interarrival times, which telescopes into a closed-form
-transform involving only the probabilities that each arriving customer
-finds the system empty.  Those emptiness probabilities are read off the
-same forward diagonal sweep of the embedded departure chain that gives the
-queue-length PGF (transient.sweep), run at gamma = 0 so that no mass is
-killed.
+(waiting measured from time zero) followed by the m arrivals.  Customer
+j = k + m - n' + 1 arrives when the count still to arrive drops from n'.
+Either it finds the system empty, or it is the (i+1)-th arrival during a
+service that started in state (l, n) with n - i = n', and then it waits for
+the residual of that service plus l - 1 + i full services.  Both cases are
+read off the forward diagonal sweep of the embedded departure chain that
+gives the queue-length PGF (transient.sweep), run at gamma = 0 so that no
+mass is lost to a deadline: the mass on the empty state (0, n'), and the
+transform of the wait deposited on the outstanding count n'.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,9 +27,6 @@ __all__ = [
     "tail_asymptote",
 ]
 
-_POLE_REL_TOL = 1e-6
-_POLE_CIRCLE = 1e-4
-
 
 def emptiness_probs(k, m, plan, law):
     """P(customer h finds the system empty), for h = k+1 .. k+m.
@@ -38,59 +38,47 @@ def emptiness_probs(k, m, plan, law):
     if m == 0:
         return np.zeros(0)
     tables = kernels.build_tables(plan, law, 0.0)
-    _, empty = transient.sweep(k, m, tables, tables.v, np.ones(k + m + 1), float)
+    _, empty, _ = transient.sweep(
+        k, m, plan, 0.0, tables.u, tables.v, np.ones(k + m + 1), float
+    )
     return empty[m:0:-1]
 
 
-def _eqw3(j, alpha, k, m, lams, law, rhos):
+@lru_cache(maxsize=128)
+def _waiting_lsts(alpha, k, m, plan, law):
+    """E[e^{-alpha W_j}] for j = 1..k+m, read-only, from one gamma = 0 sweep.
+
+    A service from (l, n) deposits lambda_{n-i} beta(alpha)^{l-1+i} times
+    the residual-service row r_{ni}(alpha) on the outstanding count n - i.
+    """
+    dtype = complex if np.iscomplexobj(alpha) else float
     beta = service.lst(law, alpha)
-    total = beta ** (j - 1)
-    for i in range(j - k):
-        lam = lams[m - i - 1]
-        total *= lam / (lam - alpha)
-    for h in range(k + 1, j + 1):
-        lam_h = lams[m - h + k]  # lambda_{m-h+k+1}
-        term = rhos[h - k - 1] * beta ** (j - h) * alpha / (lam_h - alpha)
-        for w_idx in range(j - h):
-            lam = lams[m + k - h - w_idx - 1]
-            term *= lam / (lam - alpha)
-        total -= term
-    return total
+    u, residual = kernels.kernel_rows(plan, law, 0.0, alpha, 1.0)
+    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+    powers = beta ** np.arange(k + m + 1)
+    deposit = [lams[n::-1] * powers[: n + 1] * row for n, row in enumerate(residual)]
+    # beta(alpha)^{l-1} per row; the l = 0 row never uses its factor.
+    row_factors = np.concatenate(([1.0], powers[:-1]))
+    _, empty, outstanding = transient.sweep(
+        k, m, plan, 0.0, u, deposit, row_factors, dtype
+    )
+    lsts = np.concatenate((powers[:k], (empty + outstanding)[m:0:-1]))
+    lsts.setflags(write=False)
+    return lsts
 
 
 def waiting_lst(j, alpha, k, m, plan, law, rhos=None):
     """E[e^{-alpha W_j}] for customer j in service order.
 
-    The expression for arriving customers has removable singularities at
-    the plan rates; real alpha within relative distance 1e-6 of a rate is
-    evaluated as the average over four nearby complex points instead.
+    One gamma = 0 sweep per (alpha, k, m, plan, law), cached, gives every
+    customer's transform and supplies the zero-wait term itself, so rhos
+    (the emptiness_probs the callers pass) is not needed.
     """
     if not 1 <= j <= k + m:
         raise DomainError("customer index out of range")
     if alpha.real < 0:
         raise DomainError("alpha must have nonnegative real part")
-    if j <= k:
-        return service.lst(law, alpha) ** (j - 1)
-    if rhos is None:
-        rhos = emptiness_probs(k, m, plan, law)
-    lams = kernels.plan_rates(plan)
-    used = lams[m - (j - k) : m]
-    near_pole = (
-        np.imag(alpha) == 0
-        and alpha != 0
-        and np.min(np.abs(used - alpha.real) / used) < _POLE_REL_TOL
-    )
-    if not near_pole:
-        value = _eqw3(j, alpha, k, m, lams, law, rhos)
-    else:
-        radius = _POLE_CIRCLE * abs(alpha)
-        angles = np.pi / 4 + np.pi / 2 * np.arange(4)
-        value = np.mean(
-            [
-                _eqw3(j, alpha + radius * np.exp(1j * a), k, m, lams, law, rhos)
-                for a in angles
-            ]
-        )
+    value = _waiting_lsts(alpha, k, m, plan, law)[j - 1]
     if np.imag(alpha) == 0:
         return float(np.real(value))
     return value

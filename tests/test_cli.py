@@ -112,6 +112,21 @@ class TestSubcommands:
         assert float(rows[1][1]) == pytest.approx(0.5)
         assert float(rows[1][2]) == pytest.approx(0.75)
 
+    def test_waiting_at_plan_rate(self, capsys):
+        # alpha equal to the arrival rate, at a pool where every customer's
+        # transform must still be a probability-weighted average.
+        code, out, _ = run(
+            ["waiting", "--k", "5", "--m", "30", "--plan", "const:0.9",
+             "--service", "erlang:2,2", "--alpha", "0.9,1.8"],
+            capsys,
+        )
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header[2:] == ["lst_alpha_0.9", "lst_alpha_1.8"]
+        assert len(rows) == 35
+        values = np.array([[float(x) for x in row[2:]] for row in rows])
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
     def test_moments(self, capsys):
         code, out, _ = run(
             ["moments", "--k", "1", "--m", "0", "--service", "exp:1",

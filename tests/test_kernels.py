@@ -148,14 +148,15 @@ class TestKernelTables:
     def test_row_sum_identities(self, law, gamma):
         for plan in plans(8):
             tables = kernels.build_tables(plan, law, gamma)
+            w = kernels.build_tables(plan, law, 0.0).u
             beta = service.lst(law, gamma)
             for n in range(9):
                 assert abs(tables.u[n].sum() - beta) < 1e-10
                 assert abs(tables.v[n].sum() - (1.0 - beta)) < 1e-10
-                assert abs(tables.w[n].sum() - 1.0) < 1e-10
+                assert abs(w[n].sum() - 1.0) < 1e-10
                 assert np.all(tables.u[n] >= -1e-12)
                 assert np.all(tables.v[n] >= -1e-12)
-                assert np.all(tables.w[n] <= 1 + 1e-12)
+                assert np.all(w[n] <= 1 + 1e-12)
 
     @pytest.mark.parametrize("plan", plans(5))
     @pytest.mark.parametrize("gamma", [0.4, 2.0])
@@ -185,9 +186,9 @@ class TestKernelTables:
     def test_w_is_small_gamma_limit(self, law):
         plan = kernels.Proportional(0.8, 4)
         small = kernels.build_tables(plan, law, 1e-8)
-        ref = kernels.build_tables(plan, law, 1.0)
+        w = kernels.build_tables(plan, law, 0.0).u
         for n in range(5):
-            assert np.allclose(small.u[n], ref.w[n], atol=1e-6)
+            assert np.allclose(small.u[n], w[n], atol=1e-6)
 
     def test_gamma_zero_convention(self):
         tables = kernels.build_tables(
@@ -195,7 +196,6 @@ class TestKernelTables:
         )
         for n in range(4):
             assert np.allclose(tables.v[n], 0.0)
-            assert np.allclose(tables.u[n], tables.w[n])
 
     def test_constant_general_continuity(self):
         lam = 1.0

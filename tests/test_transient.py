@@ -116,6 +116,21 @@ class TestPgf:
         marginal = simulate.ctmc_resolvent(5, 25, plan, law, gamma).sum(axis=1)
         assert np.max(np.abs(poly.coeffs - marginal)) < 1e-12
 
+    @pytest.mark.parametrize("triple", EXP_TRIPLES)
+    def test_sweep_outstanding_matches_ctmc_resolvent(self, triple):
+        # The killed mass grouped by the count still to arrive is the law of
+        # that count at the deadline: the resolvent's other marginal.
+        lam, mu, gamma = triple
+        law = service.Exponential(mu)
+        k, m = 5, 25
+        for plan in plans(m, lam):
+            tables = kernels.build_tables(plan, law, gamma)
+            _, _, outstanding = transient.sweep(
+                k, m, plan, gamma, tables.u, tables.v, np.ones(k + m + 1), float
+            )
+            marginal = simulate.ctmc_resolvent(k, m, plan, law, gamma).sum(axis=0)
+            assert np.max(np.abs(outstanding - marginal)) < 1e-12
+
     @pytest.mark.parametrize(
         "plan",
         [

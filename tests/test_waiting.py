@@ -90,11 +90,44 @@ class TestWaitingLst:
 
     def test_pole_removability(self):
         plan = kernels.General((0.9, 1.7, 2.6))
-        law = service.Erlang(2, 2.0)
-        for lam in kernels.plan_rates(plan):
-            lo = waiting.waiting_lst(5, lam * (1 - 1e-7), 2, 3, plan, law)
-            hi = waiting.waiting_lst(5, lam * (1 + 1e-7), 2, 3, plan, law)
-            assert abs(hi - lo) < 1e-4 * abs(lo)
+        for law in LAWS:
+            for lam in kernels.plan_rates(plan):
+                lo = waiting.waiting_lst(5, lam * (1 - 1e-7), 2, 3, plan, law)
+                hi = waiting.waiting_lst(5, lam * (1 + 1e-7), 2, 3, plan, law)
+                assert abs(hi - lo) < 1e-4 * abs(lo)
+                for j in range(1, 6):
+                    at = waiting.waiting_lst(j, float(lam), 2, 3, plan, law)
+                    assert 0.0 <= at <= 1.0
+
+    @pytest.mark.parametrize(
+        "law, seed", [(service.Erlang(2, 2.0), 5), (service.Deterministic(0.8), 6)]
+    )
+    def test_monte_carlo_agreement(self, law, seed):
+        # E[exp(-alpha (start - arrival))] over replayed FIFO paths, with
+        # alpha equal to the arrival rate among the points.
+        k, m, lam = 3, 25, 0.9
+        plan = kernels.Constant(lam, m)
+        alphas = (lam, 0.5, 2 * lam)
+        config = simulate.SimConfig(k=k, m=m, plan=plan, law=law)
+        sums = np.zeros((len(alphas), k + m))
+        squares = np.zeros_like(sums)
+        n_rep, chunks = 50_000, 4
+        for chunk in range(chunks):
+            arrivals, start, _ = simulate._replay(
+                config, simulate._chunk_rng(seed, chunk), n_rep
+            )
+            for row, alpha in enumerate(alphas):
+                draws = np.exp(-alpha * (start - arrivals))
+                sums[row] += draws.sum(axis=0)
+                squares[row] += (draws**2).sum(axis=0)
+        total = n_rep * chunks
+        est = sums / total
+        stderr = np.sqrt(np.maximum(squares / total - est**2, 0.0) / total)
+        for row, alpha in enumerate(alphas):
+            for j in range(1, k + m + 1):
+                exact = waiting.waiting_lst(j, alpha, k, m, plan, law)
+                err = est[row, j - 1] - exact
+                assert abs(err) <= 4 * max(stderr[row, j - 1], 1e-12)
 
     def test_decreasing_in_alpha(self):
         plan = kernels.Proportional(0.7, 2)
