@@ -5,7 +5,10 @@ dividing by gamma turns each of them into the Laplace transform (in gamma)
 of the corresponding function of deterministic time.  Two standard
 Bromwich-contour discretizations recover the originals: Euler summation
 (binomial averaging of a trapezoidal Fourier series) as the workhorse and
-the fixed Talbot contour as an independent cross-check.
+the fixed Talbot contour as an independent cross-check.  Each is a set of
+contour nodes and weights, and the transform is evaluated at all nodes of
+both at once: the kernel tables and the sweep take the nodes as an array
+of killing rates, so a time point costs one table build and one sweep.
 """
 
 import warnings
@@ -14,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from . import transient
+from . import service, transient
 from .errors import ConvergenceWarning, DomainError, NormalizationError
 
 __all__ = [
@@ -40,7 +43,7 @@ class InversionConfig:
             raise ValueError("node count must be even and at least 8")
 
 
-def _euler_sum(transform, t, nodes):
+def _euler_nodes(t, nodes):
     # Abate-Whitt Euler scheme: beta_k = n ln(10)/3 + i pi k on a vertical
     # line, alternating series accelerated by binomial averaging.
     n = nodes // 2
@@ -53,50 +56,56 @@ def _euler_sum(transform, t, nodes):
         eta[2 * n - j] = eta[2 * n - j + 1] + comb(n, j) * 2.0**-n
     weights = 10.0 ** (n / 3.0) * (-1.0) ** k * eta / t
     s = (n * np.log(10.0) / 3.0 + 1j * np.pi * k) / t
-    values = np.array([transform(sj) for sj in s])
-    return weights @ np.real(values)
+    return s, weights
 
 
-def _talbot_sum(transform, t, nodes):
-    # Fixed Talbot contour (cotangent parabola), r = 2M / (5t).
+def _talbot_nodes(t, nodes):
+    # Fixed Talbot contour (cotangent parabola), r = 2M / (5t); its first
+    # node is the real point r.
     M = nodes
     r = 2.0 * M / (5.0 * t)
-    total = 0.5 * np.exp(r * t) * np.real(transform(r + 0.0j))
     theta = np.pi * np.arange(1, M) / M
     cot = 1.0 / np.tan(theta)
-    s = r * theta * (cot + 1j)
+    s = np.concatenate(([r], r * theta * (cot + 1j)))
     sigma = theta + (theta * cot - 1.0) * cot
-    for sk, sig in zip(s, sigma):
-        total += np.real(np.exp(t * sk) * transform(sk) * (1.0 + 1j * sig))
-    return total * r / M
+    weights = np.concatenate(([0.5], 1.0 + 1j * sigma)) * np.exp(t * s) * r / M
+    return s, weights
 
 
-_METHODS = {"euler": _euler_sum, "talbot": _talbot_sum}
+_METHODS = {"euler": _euler_nodes, "talbot": _talbot_nodes}
 
 
 def invert(fhat, t, config=None):
     """Recover f(t) from gamma |-> fhat(gamma) where fhat(gamma)/gamma = L f.
 
     fhat is the deadline-expectation form E[f at an Exp(gamma) time]; its
-    division by gamma gives the plain Laplace transform inverted here.  fhat
-    may return a vector, evaluated once per contour node and inverted
-    componentwise; the result is then an array, else a float.  When
-    cross-checking is on, the secondary method is evaluated too and one
-    ConvergenceWarning is emitted unless every component agrees within
-    tolerance (a NaN never agrees).
+    division by gamma gives the plain Laplace transform inverted here.  Each
+    method is a set of contour nodes s_j with weights w_j, and
+    f(t) = Re sum_j w_j fhat(s_j) / s_j.  fhat is called once, with the
+    1-D array of every node (Euler's and, when cross-checking, Talbot's),
+    and returns an array with the nodes on its last axis, or a scalar that
+    holds at every node.  The result has the shape of one node's value: an
+    array, inverted componentwise, or else a float.  When cross-checking is
+    on, one ConvergenceWarning is emitted unless every component of the two
+    methods agrees within tolerance (a NaN never agrees).
     """
     if t <= 0:
         raise DomainError("inversion requires t > 0")
     config = config or InversionConfig()
-
-    def transform(s):
-        return fhat(s) / s
-
-    primary = _METHODS[config.method](transform, t, config.nodes)
+    methods = [config.method]
     if config.cross_check:
-        other = "talbot" if config.method == "euler" else "euler"
-        secondary = _METHODS[other](transform, t, config.nodes)
-        gap = np.abs(primary - secondary)
+        methods.append("talbot" if config.method == "euler" else "euler")
+    contours = [_METHODS[name](t, config.nodes) for name in methods]
+    s = np.concatenate([nodes for nodes, _ in contours])
+    values = np.asarray(fhat(s))
+    transform = np.broadcast_to(values, values.shape[:-1] + s.shape) / s
+    estimates = []
+    for nodes, weights in contours:
+        estimates.append(np.real(transform[..., : len(nodes)] @ weights))
+        transform = transform[..., len(nodes) :]
+    primary = estimates[0]
+    if config.cross_check:
+        gap = np.abs(primary - estimates[1])
         if not np.all(gap <= config.cross_tolerance):
             warnings.warn(
                 f"euler/talbot disagree at t={t}: largest gap {np.max(gap)}",
@@ -105,9 +114,19 @@ def invert(fhat, t, config=None):
     return primary if np.ndim(primary) else float(primary)
 
 
+def _inverted_pmf(k, m, plan, law, t, config):
+    """The PMF of Z(t), inverted coefficient by coefficient, not renormalized."""
+    return invert(
+        lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0),
+        t,
+        config,
+    )
+
+
 def pmf_at_time(k, m, plan, law, t, config=None):
     """P(Z(t) = l) for l = 0..k+m, by inverting each PGF coefficient.
 
+    One table build and one sweep evaluate the PMF at every contour node.
     t = 0 is answered analytically (all mass at k).  The inverted vector is
     renormalized when its total mass is within 1e-6 of one and rejected
     otherwise.
@@ -118,7 +137,7 @@ def pmf_at_time(k, m, plan, law, t, config=None):
         out[k] = 1.0
         return out
 
-    raw = invert(lambda gamma: transient.pmf(k, m, plan, law, gamma), t, config)
+    raw = _inverted_pmf(k, m, plan, law, t, config)
     total = raw.sum()
     if abs(total - 1.0) > 1e-6:
         raise NormalizationError(
@@ -128,19 +147,23 @@ def pmf_at_time(k, m, plan, law, t, config=None):
 
 
 def pgf_at_time(k, m, plan, law, z, t, config=None):
-    """E[z^{Z(t)}]."""
+    """E[z^{Z(t)}] at real or complex z: the inverted PMF evaluated at z."""
     if t == 0:
-        return float(z) ** k
-    return invert(
-        lambda gamma: transient.pgf(k, m, plan, law, gamma)(z), t, config
-    )
+        return z**k
+    probs = _inverted_pmf(k, m, plan, law, t, config)
+    value = np.polynomial.polynomial.polyval(z, probs)
+    return complex(value) if np.iscomplexobj(value) else float(value)
 
 
 def workload_lst_at_time(k, m, plan, law, alpha, t, config=None):
-    """E[e^{-alpha W(t)}]."""
-    if t == 0:
-        from . import service
+    """E[e^{-alpha W(t)}] at real alpha >= 0.
 
+    The inversion keeps the real part of the transform only, which is the
+    whole value at real alpha alone, so complex alpha raises DomainError.
+    """
+    if np.imag(alpha) != 0:
+        raise DomainError("workload_lst_at_time requires a real alpha")
+    if t == 0:
         return service.lst(law, alpha) ** k
     return invert(
         lambda gamma: transient.workload_lst(k, m, plan, law, gamma, alpha),

@@ -28,10 +28,14 @@ kernel_rows returns u together with a multiple of the gamma-free kill
 kernel r(a), whose entries also carry E[e^{-a R}] of the residual service R
 at the kill (bottom-right block -a d I for Deterministic): v = gamma r(0),
 and the waiting-time transforms read r(a) at gamma = 0.
+
+gamma may be a 1-D array of killing rates, the nodes of an inversion
+contour: every row then carries the node axis first, and each node is
+computed by the same stacked products as a scalar gamma, which is a batch
+of one.
 """
 
 from dataclasses import dataclass
-from math import ceil, log2
 
 import numpy as np
 
@@ -100,22 +104,30 @@ def plan_rates(plan):
 
 
 def _expm(a):
-    """e^a: scale until the 1-norm is at most 1/2, sum the degree-18 Taylor
-    polynomial (truncation below 1e-22), then square back."""
-    norm = np.abs(a).sum(axis=0).max()
-    squarings = ceil(log2(max(2.0 * norm, 1.0)))
-    a = a / 2.0**squarings
-    eye = np.eye(len(a))
+    """e^a for each matrix of the stack a[..., :, :], which is overwritten:
+    scale each until its 1-norm is at most 1/2, sum the degree-18 Taylor
+    polynomial (truncation below 1e-22), then square each back by its own
+    count, so that a matrix that overflows leaves the others as they would
+    be alone.  The loops update in place to hold few stack-sized arrays."""
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(2.0 * norms, 1.0))).astype(int)
+    a /= (2.0**squarings)[..., None, None]
+    eye = np.eye(a.shape[-1])
     out = eye
     for j in range(18, 0, -1):
-        out = eye + a @ out / j
-    for _ in range(squarings):
-        out = out @ out
+        out = a @ out
+        out /= j
+        out += eye
+    for step in range(squarings.max(initial=0)):
+        todo = squarings > step
+        part = out[todo]
+        out[todo] = part @ part
     return out
 
 
 def _death_blocks(plan, d, gamma, alpha):
-    """e^{(L - gamma) d} and integral_0^d e^{(L - gamma) t} e^{-alpha (d - t)} dt.
+    """e^{(L - gamma) d} and integral_0^d e^{(L - gamma) t} e^{-alpha (d - t)} dt,
+    with gamma.shape leading.
 
     L is the generator of the outstanding count, so entry [n, n - i] of the
     first block is e^{-gamma d} P(i arrivals in d | n outstanding).  Both
@@ -124,65 +136,82 @@ def _death_blocks(plan, d, gamma, alpha):
     lams = np.concatenate(([0.0], plan_rates(plan)))
     size = len(lams)
     eye = np.eye(size)
-    gen = (np.diag(lams[1:], -1) - np.diag(lams) - gamma * eye) * d
-    block = np.block([[gen, d * eye], [np.zeros_like(eye), -alpha * d * eye]])
+    gammas = np.reshape(gamma, np.shape(gamma) + (1, 1))
+    block = np.zeros(
+        np.shape(gamma) + (2 * size, 2 * size), dtype=np.result_type(gamma, alpha)
+    )
+    death = np.diag(lams[1:], -1) - np.diag(lams)
+    block[..., :size, :size] = (death - gammas * eye) * d
+    block[..., :size, size:] = d * eye
+    block[..., size:, size:] = -alpha * d * eye
     e = _expm(block)
-    return e[:size, :size], e[:size, size:]
+    return e[..., :size, :size], e[..., :size, size:]
 
 
 def _phase_rows(plan, start, sub, gamma, cols):
-    """Rows n = 0..m of X_n @ cols, where X_n stacks x_0..x_n of row n.
+    """Rows n = 0..m of X_n @ cols, with gamma.shape leading, where X_n
+    stacks x_0..x_n of row n.
 
     x_0 = start R_n and x_i = x_{i-1} lambda_{n-i+1} R_{n-i}, with
     R_j = ((gamma + lambda_j) I - S)^{-1}: x_i[k] is the Laplace transform at
     gamma of the density of being in phase k with i arrivals so far.  The
     m + 1 inverses are formed once, so each entry costs one vector-matrix
-    product.
+    product, stacked over the gammas.
     """
     lams = np.concatenate(([0.0], plan_rates(plan)))
-    inverses = np.linalg.inv((gamma + lams)[:, None, None] * np.eye(len(start)) - sub)
-    steps = [None] + list(lams[1:, None, None] * inverses[:-1])
+    inverses = np.linalg.inv(
+        np.add.outer(lams, gamma)[..., None, None] * np.eye(len(start)) - sub
+    )
+    heads = (start @ inverses)[..., None, :]
+    steps = [None] + [lam * inverse for lam, inverse in zip(lams[1:], inverses)]
     rows = []
     for n in range(len(lams)):
-        x = start @ inverses[n]
+        x = heads[n]
         xs = [x]
         for i in range(1, n + 1):
             x = x @ steps[n - i + 1]
             xs.append(x)
-        rows.append(np.array(xs) @ cols)
+        rows.append(np.concatenate(xs, axis=-2) @ cols)
     return rows
 
 
 def kernel_rows(plan, law, gamma, alpha, scale):
     """Rows n = 0..m of u and of scale * r(alpha) at killing rate gamma.
 
+    gamma is a scalar or a 1-D array of killing rates (the nodes of an
+    inversion contour), and scale is a scalar or has gamma's shape.  Row n
+    has shape gamma.shape + (n + 1,): every node runs through the same
+    stacked products, and a scalar gamma is a batch of one.
+
     r_{ni}(alpha) integrates e^{-gamma t} E[e^{-alpha(B-t)} ; i arrivals by
     t, t < B] over t, so v = gamma r(0): the tables pass scale = gamma and
     the waiting times scale = 1.  Phase-type: u_{ni} = x_i s0 and
     r_{ni} = x_i (alpha I - S)^{-1} s0, the residual service after t being
     PH from the phase it is in.  Deterministic: the two blocks of one
-    exponential, the second carrying the factor e^{-alpha(d - t)}.
+    exponential per gamma, the second carrying the factor e^{-alpha(d - t)}.
     """
+    scales = np.expand_dims(scale, -1)
     if isinstance(law, Deterministic):
         growth, integral = _death_blocks(plan, law.value, gamma, alpha)
-        size = len(growth)
+        size = growth.shape[-1]
         return (
-            [growth[n, n::-1] for n in range(size)],
-            [scale * integral[n, n::-1] for n in range(size)],
+            [growth[..., n, n::-1] for n in range(size)],
+            [scales * integral[..., n, n::-1] for n in range(size)],
         )
     start, sub = service.phase_type(law)
     exit_rates = -sub.sum(axis=1)
     residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)
-    cols = np.stack([exit_rates, scale * residual], axis=1)
+    cols = np.stack(np.broadcast_arrays(exit_rates, scales * residual), axis=-1)
     rows = _phase_rows(plan, start, sub, gamma, cols)
-    return [row[:, 0] for row in rows], [row[:, 1] for row in rows]
+    return [row[..., 0] for row in rows], [row[..., 1] for row in rows]
 
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Triangular kernel tables at a fixed killing rate.
+    """Triangular kernel tables at a fixed killing rate or array of rates.
 
-    ``u`` and ``v`` are lists of arrays; row n has entries i = 0..n, built
+    ``u`` and ``v`` are lists of arrays; row n has entries i = 0..n on its
+    last axis, after gamma's shape, built
     by the phase-type recursion or, for Deterministic service, by the block
     matrix exponential (see the module docstring).  Row sums are beta(gamma)
     and 1 - beta(gamma) up to rounding.

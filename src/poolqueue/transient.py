@@ -37,18 +37,23 @@ __all__ = [
 ]
 
 
+def _polyval(z, coeffs):
+    """The polynomial with coefficients on the last axis of coeffs, at z."""
+    return np.polynomial.polynomial.polyval(z, np.moveaxis(coeffs, -1, 0))
+
+
 @dataclass(frozen=True)
 class PgfPolynomial:
-    """Coefficient view of E[z^{Z(T)}]: coeffs[l] = P(Z(T) = l)."""
+    """Coefficient view of E[z^{Z(T)}]: coeffs[..., l] = P(Z(T) = l)."""
 
     coeffs: np.ndarray
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
+        return _polyval(z, self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class JointTransformValue:
     coeffs: np.ndarray
 
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
+        return _polyval(z, self.coeffs)
 
 
 def sweep(k, m, plan, gamma, u_rows, v_rows, row_factors, dtype):
@@ -67,56 +72,63 @@ def sweep(k, m, plan, gamma, u_rows, v_rows, row_factors, dtype):
 
     Every service completion lowers l + n by one, so the mass on diagonal s
     is a vector over n (with l = s - n) and one step maps it to diagonal
-    s - 1 through U[n, n-i] = u_rows[n][i].  Mass killed during a service from
-    (l, n) lands on coefficient l + i = s - (n - i) with weight
-    row_factors[l] * v_rows[n][i].  The empty state (0, s) is resolved
+    s - 1 through U[n, n-i] = u_rows[n][..., i].  Mass killed during a
+    service from (l, n) lands on coefficient l + i = s - (n - i) with weight
+    row_factors[l] * v_rows[n][..., i].  The empty state (0, s) is resolved
     within its diagonal first: killed onto coefficient 0 with probability
     gamma / (gamma + lambda_s), otherwise moved to (1, s - 1).
 
-    Returns (coeffs, empty, outstanding): the k + m + 1 deposited
-    coefficients; empty[s], the mass on (0, s) just before it is resolved,
-    for s = 0..m; and outstanding[n'], the killed mass grouped by the count
+    gamma is a scalar or a 1-D array of killing rates, and the rows carry
+    the same leading shape (see kernels.kernel_rows); every node is swept at
+    once through dense step and deposit arrays of shape
+    gamma.shape + (m + 1, m + 1).  Returns (coeffs, empty, outstanding),
+    each with that leading shape: the k + m + 1 deposited coefficients;
+    empty[..., s], the mass on (0, s) just before it is resolved, for
+    s = 0..m; and outstanding[..., n'], the killed mass grouped by the count
     n' = n - i still to arrive, the empty-state kills and the final (0, 0)
     mass included.  At gamma = 0 nothing is killed, so empty[s] is the
     probability that the system is empty just after departure k + m - s.
     At a real deadline outstanding is the law of the count still to arrive.
     """
     size = m + 1
-    step = np.zeros((size, size), dtype=dtype)
-    deposit = np.zeros((size, size), dtype=dtype)
+    batch = np.shape(gamma)
+    step = np.zeros(batch + (size, size), dtype=dtype)
+    deposit = np.zeros(batch + (size, size), dtype=dtype)
     for n in range(size):
-        step[n, : n + 1] = u_rows[n][::-1]
-        deposit[n, : n + 1] = v_rows[n][::-1]
-    coeffs = np.zeros(k + m + 1, dtype=dtype)
-    empty = np.zeros(size, dtype=dtype)
-    outstanding = np.zeros(size, dtype=dtype)
-    mass = np.zeros(size, dtype=dtype)
-    mass[m] = 1.0
-    # Python floats: numpy scalars are slower here and divide complex
-    # numbers with different rounding.
-    lams = kernels.plan_rates(plan).tolist()
+        step[..., n, : n + 1] = u_rows[n][..., ::-1]
+        deposit[..., n, : n + 1] = v_rows[n][..., ::-1]
+    # Each node's vectors are 1-row matrices, so that one matmul steps them all.
+    coeffs = np.zeros(batch + (1, k + m + 1), dtype=dtype)
+    empty = np.zeros(batch + (1, size), dtype=dtype)
+    outstanding = np.zeros(batch + (1, size), dtype=dtype)
+    mass = np.zeros(batch + (1, size), dtype=dtype)
+    mass[..., m] = 1.0
+    gammas = np.reshape(gamma, batch + (1, 1))
+    lams = kernels.plan_rates(plan)
+    kill = gammas / (gammas + lams)
+    stay = lams / (gammas + lams)
     for s in range(k + m, 0, -1):
         if s <= m:
-            empty[s] = mass[s]
-            lam_s = lams[s - 1]
-            killed = gamma / (gamma + lam_s) * mass[s]
-            coeffs[0] += killed
-            outstanding[s] += killed
-            mass[s - 1] += lam_s / (gamma + lam_s) * mass[s]
+            held = mass[..., s]
+            empty[..., s] = held
+            coeffs[..., 0] += kill[..., s - 1] * held
+            mass[..., s - 1] += stay[..., s - 1] * held
         # States with l >= 1 on this diagonal: n = 0..top, l = s..s-top.
         top = min(s - 1, m)
-        busy = mass[: top + 1]
+        busy = mass[..., : top + 1]
         scaled = busy * row_factors[s - top : s + 1][::-1]
-        killed = scaled @ deposit[: top + 1, : top + 1]
-        coeffs[s - top : s + 1] += killed[::-1]
-        outstanding[: top + 1] += killed
-        mass = np.zeros(size, dtype=dtype)
-        mass[: top + 1] = busy @ step[: top + 1, : top + 1]
+        killed = scaled @ deposit[..., : top + 1, : top + 1]
+        coeffs[..., s - top : s + 1] += killed[..., ::-1]
+        outstanding[..., : top + 1] += killed
+        mass = np.zeros(batch + (1, size), dtype=dtype)
+        mass[..., : top + 1] = busy @ step[..., : top + 1, : top + 1]
+    # The kill at (0, s) is the last mass to reach outstanding[s].
+    outstanding[..., 1:] += kill * empty[..., 1:]
     # (0, 0): nobody present and nobody left to arrive.
-    empty[0] = mass[0]
-    coeffs[0] += mass[0]
-    outstanding[0] += mass[0]
-    return coeffs, empty, outstanding
+    empty[..., 0] = mass[..., 0]
+    coeffs[..., 0] += mass[..., 0]
+    outstanding[..., 0] += mass[..., 0]
+    return coeffs[..., 0, :], empty[..., 0, :], outstanding[..., 0, :]
 
 
 def pgf(k, m, plan, law, gamma, tables=None):
@@ -124,7 +136,9 @@ def pgf(k, m, plan, law, gamma, tables=None):
 
     Returns the polynomial whose coefficients are P(Z(T) = l) starting from
     k customers present and m yet to arrive.  gamma may be complex, in
-    which case the coefficients are complex-valued transform evaluations.
+    which case the coefficients are complex-valued transform evaluations,
+    and may be a 1-D array of killing rates, in which case coeffs has one
+    row per rate.
     """
     if k < 0 or m < 0:
         raise ValueError("k and m must be nonnegative")
@@ -141,6 +155,7 @@ def joint_transform(k, m, plan, law, gamma, alpha, tables=None):
 
     Computed by the same sweep with the weight at column l+i replaced by
     beta(alpha)^{l+i-1} v_{ni}(alpha); at alpha = 0 it reduces to pgf().
+    gamma may be an array of killing rates, as in pgf(); alpha is a scalar.
     """
     if alpha.real < 0:
         raise ValueError("alpha must have nonnegative real part")
@@ -160,13 +175,12 @@ def joint_transform(k, m, plan, law, gamma, alpha, tables=None):
 
 
 def workload_lst(k, m, plan, law, gamma, alpha, tables=None):
-    """E[e^{-alpha W(T)}]: the joint transform summed at z = 1."""
-    value = joint_transform(k, m, plan, law, gamma, alpha, tables=tables).coeffs.sum()
-    return value
+    """E[e^{-alpha W(T)}], one value per gamma: the joint transform at z = 1."""
+    return joint_transform(k, m, plan, law, gamma, alpha, tables=tables).coeffs.sum(-1)
 
 
 def pmf(k, m, plan, law, gamma, tables=None):
-    """P(Z(T) = l) for l = 0..k+m (the PGF's coefficient array)."""
+    """P(Z(T) = l) for l = 0..k+m on the last axis (the PGF's coefficients)."""
     return pgf(k, m, plan, law, gamma, tables=tables).coeffs
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from poolqueue import inversion, kernels, service, simulate
+from poolqueue import inversion, kernels, service, simulate, transient
 from poolqueue.errors import ConvergenceWarning, DomainError
 
 # deadline-expectation transforms f^(gamma) = gamma * L f(gamma) with known
@@ -76,6 +76,34 @@ class TestInvert:
     def test_requires_positive_time(self):
         with pytest.raises(DomainError):
             inversion.invert(lambda g: 1.0, 0.0)
+
+    @pytest.mark.parametrize("cross_check", [True, False])
+    def test_fhat_called_once_with_every_node(self, cross_check):
+        shapes = []
+
+        def fhat(g):
+            shapes.append(np.shape(g))
+            return g / (g + 1.0)
+
+        config = inversion.InversionConfig(cross_check=cross_check)
+        got = inversion.invert(fhat, 1.0, config)
+        assert shapes == [(65,) if cross_check else (33,)]
+        assert got == pytest.approx(math.exp(-1.0), abs=1e-8)
+
+    def test_pmf_at_time_builds_tables_once(self, monkeypatch):
+        calls = {"build_tables": 0, "sweep": 0}
+        for owner, name in ((kernels, "build_tables"), (transient, "sweep")):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        inversion.pmf_at_time(
+            2, 4, kernels.Constant(0.9, 4), service.Erlang(2, 2.0), 1.5
+        )
+        assert calls == {"build_tables": 1, "sweep": 1}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -150,6 +178,20 @@ class TestScalarWrappers:
         probs = inversion.pmf_at_time(1, 1, plan, law, t)
         direct = inversion.pgf_at_time(1, 1, plan, law, z, t)
         assert direct == pytest.approx(float(probs @ z ** np.arange(3)), abs=1e-8)
+
+    @pytest.mark.parametrize("z", [0.5 + 0.2j, -0.3 + 0.8j, 1j])
+    def test_pgf_at_complex_z_matches_uniformization(self, z):
+        plan, law = kernels.Constant(1.0, 3), service.Exponential(1.0)
+        got = inversion.pgf_at_time(1, 3, plan, law, z, 1.0)
+        probs = simulate.ctmc_at_time(1, 3, plan, law, 1.0).sum(axis=1)
+        assert abs(got - probs @ z ** np.arange(len(probs))) < 1e-8
+        assert inversion.pgf_at_time(1, 3, plan, law, z, 0.0) == z
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_workload_rejects_complex_alpha(self, t):
+        plan, law = kernels.Constant(1.0, 3), service.Exponential(1.0)
+        with pytest.raises(DomainError):
+            inversion.workload_lst_at_time(1, 3, plan, law, 0.5 + 0.2j, t)
 
     def test_workload_at_time_zero(self):
         law = service.Erlang(2, 2.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from poolqueue import kernels, service, simulate, transient
+from poolqueue import inversion, kernels, service, simulate, transient
+from poolqueue.errors import UnsupportedTransform
 
 LAWS = [
     service.Exponential(1.3),
@@ -260,3 +261,84 @@ class TestComplexGamma:
         # normalization survives analytic continuation in gamma
         assert np.iscomplexobj(poly.coeffs)
         assert abs(poly(1.0) - 1.0) < 1e-10
+
+
+def contour_nodes():
+    """Euler nodes at t = 1, Talbot nodes at t = 0.5 (the first one real),
+    and the far-left Talbot nodes at t = 0.1, where Deterministic tables
+    overflow."""
+    euler, _ = inversion._euler_nodes(1.0, 32)
+    talbot, _ = inversion._talbot_nodes(0.5, 32)
+    far, _ = inversion._talbot_nodes(0.1, 32)
+    return np.concatenate((euler, talbot, far[-6:]))
+
+
+def assert_node_matches(batched, single):
+    """One node's row of a batched result against the call at that node:
+    the same non-finite entries, the rest within 1e-15 (relative above 1)."""
+    batched, single = np.asarray(batched), np.asarray(single)
+    finite = np.isfinite(single)
+    assert np.array_equal(finite, np.isfinite(batched))
+    assert np.array_equal(batched[~finite], single[~finite], equal_nan=True)
+    gap = np.abs(batched[finite] - single[finite])
+    assert np.all(gap <= 1e-15 * np.maximum(1.0, np.abs(single[finite])))
+
+
+class TestNodeAxis:
+    """gamma as a 1-D array of contour nodes: one stacked evaluation that
+    agrees, node by node, with the scalar calls."""
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("plan_index", range(3))
+    def test_batched_rows_match_single_nodes(self, law, plan_index):
+        k, m, alpha = 2, 6, 0.6
+        plan = plans(m)[plan_index]
+        nodes = contour_nodes()
+        with np.errstate(all="ignore"):
+            u, r = kernels.kernel_rows(plan, law, nodes, alpha, nodes)
+            probs = transient.pmf(k, m, plan, law, nodes)
+            joint = transient.joint_transform(k, m, plan, law, nodes, alpha).coeffs
+            assert probs.shape == joint.shape == (len(nodes), k + m + 1)
+            for j, gamma in enumerate(nodes):
+                u1, r1 = kernels.kernel_rows(plan, law, gamma, alpha, gamma)
+                for n in range(m + 1):
+                    assert u[n].shape == r[n].shape == (len(nodes), n + 1)
+                    assert_node_matches(u[n][j], u1[n])
+                    assert_node_matches(r[n][j], r1[n])
+                assert_node_matches(probs[j], transient.pmf(k, m, plan, law, gamma))
+                assert_node_matches(
+                    joint[j],
+                    transient.joint_transform(k, m, plan, law, gamma, alpha).coeffs,
+                )
+        overflowed = ~np.isfinite(u[m]).all(axis=-1)
+        assert overflowed.any() == isinstance(law, service.Deterministic)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_bad_node_leaves_other_nodes_unchanged(self, law):
+        k, m = 2, 6
+        plan = kernels.Constant(0.7, m)
+        clean = inversion._euler_nodes(1.0, 32)[0]
+        bad = np.array([np.nan, inversion._talbot_nodes(0.1, 32)[0][-1]])
+        mixed = np.concatenate((bad[:1], clean[:10], bad[1:], clean[10:]))
+        keep = np.isin(mixed, clean)
+        with np.errstate(all="ignore"):
+            u, v = kernels.kernel_rows(plan, law, clean, 0.0, clean)
+            u_mixed, v_mixed = kernels.kernel_rows(plan, law, mixed, 0.0, mixed)
+            probs = transient.pmf(k, m, plan, law, clean)
+            probs_mixed = transient.pmf(k, m, plan, law, mixed)
+        for n in range(m + 1):
+            assert np.array_equal(u_mixed[n][keep], u[n])
+            assert np.array_equal(v_mixed[n][keep], v[n])
+            assert np.isnan(u_mixed[n][0]).all()
+        assert np.array_equal(probs_mixed[keep], probs)
+        assert np.isnan(probs_mixed[0]).all()
+
+    def test_non_phase_type_law_raises(self):
+        plan, law = kernels.Constant(0.7, 3), service.Pareto(1.5, 1.0)
+        nodes = contour_nodes()
+        with pytest.raises(UnsupportedTransform):
+            kernels.kernel_rows(plan, law, nodes, 0.0, nodes)
+        with pytest.raises(UnsupportedTransform):
+            transient.pmf(1, 3, plan, law, nodes)
+        with pytest.raises(UnsupportedTransform):
+            inversion.pmf_at_time(1, 3, plan, law, 1.0)
