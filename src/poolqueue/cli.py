@@ -90,7 +90,7 @@ def parse_plan(text, m):
 _SCHEMA = {
     "model": {"k", "m", "plan", "service"},
     "query": {"gamma", "z", "alpha", "t", "j", "orders", "p", "r", "lam", "mu"},
-    "execution": {"seed", "replications", "method", "output", "format"},
+    "execution": {"seed", "replications", "output", "format"},
 }
 
 
@@ -221,13 +221,6 @@ def emit(settings, header, rows, extra_echo=None):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _inversion_config(settings):
-    method = settings.get("method")
-    if method is None:
-        return None
-    return inversion.InversionConfig(method=str(method))
-
-
 def cmd_pgf(settings):
     k, m, plan, law = settings.model()
     gamma = float(settings.require("gamma"))
@@ -282,10 +275,9 @@ def cmd_waiting(settings):
 def cmd_at_time(settings):
     k, m, plan, law = settings.model()
     t_grid = _floats(settings.require("t"))
-    config = _inversion_config(settings)
     rows = []
     for t in t_grid:
-        probs = inversion.pmf_at_time(k, m, plan, law, t, config)
+        probs = inversion.pmf_at_time(k, m, plan, law, t)
         rows += [(format_number(t), level, p) for level, p in enumerate(probs)]
     emit(settings, ["t", "level", "probability"], rows)
 
@@ -447,10 +439,7 @@ def build_parser():
             ("--alpha", {"help": "comma-separated alpha values for the LST columns"}),
         ])
     add("at-time", "queue-length PMF at fixed times, by numerical inversion",
-        model_flags + [
-            ("--t", {"help": "comma-separated time points"}),
-            ("--method", {"choices": ["euler", "talbot"], "help": "inversion scheme"}),
-        ])
+        model_flags + [("--t", {"help": "comma-separated time points"})])
     add("geometric", "closed-form generating functions for geometric initial conditions",
         [
             ("--lam", {"type": float, "help": "arrival rate"}),

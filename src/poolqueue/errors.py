@@ -26,4 +26,4 @@ class UnsupportedOracle(PoolQueueError):
 
 
 class ConvergenceWarning(UserWarning):
-    """The two inversion methods disagree beyond the cross-check tolerance."""
+    """The Euler inversions at two node counts disagree beyond tolerance."""

@@ -2,13 +2,14 @@
 
 The pipeline produces expectations at an independent Exp(gamma) deadline;
 dividing by gamma turns each of them into the Laplace transform (in gamma)
-of the corresponding function of deterministic time.  Two standard
-Bromwich-contour discretizations recover the originals: Euler summation
-(binomial averaging of a trapezoidal Fourier series) as the workhorse and
-the fixed Talbot contour as an independent cross-check.  Each is a set of
-contour nodes and weights, and the transform is evaluated at all nodes of
-both at once: the kernel tables and the sweep take the nodes as an array
-of killing rates, so a time point costs one table build and one sweep.
+of the corresponding function of deterministic time.  Euler summation
+(binomial averaging of a trapezoidal Fourier series on a vertical Bromwich
+line) recovers the originals.  Following Abate and Whitt's unified
+framework, the method checks itself at a second precision setting: Euler
+with ANSWER_NODES gives the answer, Euler with CHECK_NODES the check.  The
+transform is evaluated at the nodes of both at once: the kernel tables and
+the sweep take the nodes as an array of killing rates, so a time point
+costs one table build and one sweep.
 """
 
 import warnings
@@ -28,19 +29,13 @@ __all__ = [
     "workload_lst_at_time",
 ]
 
+ANSWER_NODES = 32
+CHECK_NODES = 40
+
 
 @dataclass(frozen=True)
 class InversionConfig:
-    method: str = "euler"
-    nodes: int = 32
     cross_tolerance: float = 1e-6
-    cross_check: bool = True
-
-    def __post_init__(self):
-        if self.method not in ("euler", "talbot"):
-            raise ValueError("method must be 'euler' or 'talbot'")
-        if self.nodes < 8 or self.nodes % 2:
-            raise ValueError("node count must be even and at least 8")
 
 
 def _euler_nodes(t, nodes):
@@ -59,59 +54,38 @@ def _euler_nodes(t, nodes):
     return s, weights
 
 
-def _talbot_nodes(t, nodes):
-    # Fixed Talbot contour (cotangent parabola), r = 2M / (5t); its first
-    # node is the real point r.
-    M = nodes
-    r = 2.0 * M / (5.0 * t)
-    theta = np.pi * np.arange(1, M) / M
-    cot = 1.0 / np.tan(theta)
-    s = np.concatenate(([r], r * theta * (cot + 1j)))
-    sigma = theta + (theta * cot - 1.0) * cot
-    weights = np.concatenate(([0.5], 1.0 + 1j * sigma)) * np.exp(t * s) * r / M
-    return s, weights
-
-
-_METHODS = {"euler": _euler_nodes, "talbot": _talbot_nodes}
-
-
 def invert(fhat, t, config=None):
     """Recover f(t) from gamma |-> fhat(gamma) where fhat(gamma)/gamma = L f.
 
     fhat is the deadline-expectation form E[f at an Exp(gamma) time]; its
-    division by gamma gives the plain Laplace transform inverted here.  Each
-    method is a set of contour nodes s_j with weights w_j, and
+    division by gamma gives the plain Laplace transform inverted here.  A
+    contour is a set of nodes s_j with weights w_j, and
     f(t) = Re sum_j w_j fhat(s_j) / s_j.  fhat is called once, with the
-    1-D array of every node (Euler's and, when cross-checking, Talbot's),
-    and returns an array with the nodes on its last axis, or a scalar that
-    holds at every node.  The result has the shape of one node's value: an
-    array, inverted componentwise, or else a float.  When cross-checking is
-    on, one ConvergenceWarning is emitted unless every component of the two
-    methods agrees within tolerance (a NaN never agrees).
+    1-D array of the nodes of both Euler contours, and returns an array
+    with the nodes on its last axis, or a scalar that holds at every node.
+    The result is the ANSWER_NODES estimate, with the shape of one node's
+    value: an array, inverted componentwise, or else a float.  One
+    ConvergenceWarning is emitted unless every component of it agrees with
+    the CHECK_NODES estimate within tolerance (a NaN never agrees).
     """
     if t <= 0:
         raise DomainError("inversion requires t > 0")
     config = config or InversionConfig()
-    methods = [config.method]
-    if config.cross_check:
-        methods.append("talbot" if config.method == "euler" else "euler")
-    contours = [_METHODS[name](t, config.nodes) for name in methods]
-    s = np.concatenate([nodes for nodes, _ in contours])
+    answer_nodes, answer_weights = _euler_nodes(t, ANSWER_NODES)
+    check_nodes, check_weights = _euler_nodes(t, CHECK_NODES)
+    s = np.concatenate((answer_nodes, check_nodes))
     values = np.asarray(fhat(s))
     transform = np.broadcast_to(values, values.shape[:-1] + s.shape) / s
-    estimates = []
-    for nodes, weights in contours:
-        estimates.append(np.real(transform[..., : len(nodes)] @ weights))
-        transform = transform[..., len(nodes) :]
-    primary = estimates[0]
-    if config.cross_check:
-        gap = np.abs(primary - estimates[1])
-        if not np.all(gap <= config.cross_tolerance):
-            warnings.warn(
-                f"euler/talbot disagree at t={t}: largest gap {np.max(gap)}",
-                ConvergenceWarning,
-            )
-    return primary if np.ndim(primary) else float(primary)
+    split = len(answer_nodes)
+    estimate = np.real(transform[..., :split] @ answer_weights)
+    gap = np.abs(estimate - np.real(transform[..., split:] @ check_weights))
+    if not np.all(gap <= config.cross_tolerance):
+        warnings.warn(
+            f"euler-{ANSWER_NODES} and euler-{CHECK_NODES} disagree at t={t}: "
+            f"largest gap {np.max(gap)}",
+            ConvergenceWarning,
+        )
+    return estimate if np.ndim(estimate) else float(estimate)
 
 
 def _inverted_pmf(k, m, plan, law, t, config):

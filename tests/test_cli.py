@@ -187,6 +187,24 @@ class TestConfigHandling:
         assert code == 1
         assert "bogus" in err
 
+    def test_inversion_method_key_rejected(self, tmp_path, capsys):
+        # Euler is the only inversion method, so there is nothing to choose
+        path = tmp_path / "method.yaml"
+        path.write_text(yaml.safe_dump({"execution": {"method": "euler"}}))
+        code, _, err = run(["at-time", "--config", str(path)], capsys)
+        assert code == 1
+        assert "unknown key 'method'" in err
+
+    def test_inversion_method_flag_rejected(self, capsys):
+        code, out, err = run(
+            ["at-time", "--k", "1", "--m", "0", "--service", "exp:1", "--t", "1",
+             "--method", "euler"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--method" in err
+
     def test_echoed_config_round_trips(self, tmp_path, capsys):
         # rebuild a config file from the echoed rows; numeric columns must
         # reproduce byte for byte
@@ -240,7 +258,7 @@ class TestHelp:
             ("moments", ["--orders"]),
             ("workload", ["--alpha"]),
             ("waiting", ["--j", "--alpha"]),
-            ("at-time", ["--t", "--method"]),
+            ("at-time", ["--t"]),
             ("geometric", ["--lam", "--mu", "--gamma", "--p", "--r", "--z"]),
             ("simulate", ["--replications", "--seed", "--t", "--z", "--alpha"]),
             ("validate", ["--replications", "--seed"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -46,24 +47,42 @@ class TestInvert:
 
     @pytest.mark.parametrize("pair", KNOWN_PAIRS, ids=range(len(KNOWN_PAIRS)))
     def test_methods_agree(self, pair):
-        fhat, _ = pair
+        # the answer and the check contour each recover the closed form alone
+        fhat, original = pair
         for t in (0.5, 2.0):
-            euler = inversion.invert(fhat, t, inversion.InversionConfig(method="euler", cross_check=False))
-            talbot = inversion.invert(fhat, t, inversion.InversionConfig(method="talbot", cross_check=False))
-            assert abs(euler - talbot) < 1e-6
+            for nodes in (inversion.ANSWER_NODES, inversion.CHECK_NODES):
+                s, weights = inversion._euler_nodes(t, nodes)
+                assert len(s) == nodes + 1
+                got = np.real(fhat(s) / s @ weights)
+                assert got == pytest.approx(original(t), abs=1e-8)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_answer_is_the_answer_contour(self, t):
+        # the check contour only warns: the value is the ANSWER_NODES sum
+        fhat = KNOWN_PAIRS[4][0]
+        s, weights = inversion._euler_nodes(t, inversion.ANSWER_NODES)
+        assert inversion.invert(fhat, t) == np.real(fhat(s) / s @ weights)
 
     def test_cross_check_warns_on_rough_original(self):
-        # a unit step at t = 1 defeats both schemes right at the jump
-        with pytest.warns(ConvergenceWarning):
+        # a unit step at t = 1 defeats both node counts right at the jump
+        with pytest.warns(ConvergenceWarning, match="euler-32 and euler-40"):
             inversion.invert(lambda g: np.exp(-g), 1.0)
 
     @pytest.mark.parametrize("t", [2.0, 4.0])
     def test_cross_check_warns_on_nan(self, t):
-        # Talbot overflows to NaN on this Deterministic transform.
-        plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a NaN at one node of either contour is a disagreement, also when
+        # it lies on the check contour and the answer stays finite
+        count = inversion.ANSWER_NODES + inversion.CHECK_NODES + 2
+        for bad in (0, count - 1):
+
+            def fhat(g):
+                values = g / (g + 1.0)
+                values[bad] = np.nan
+                return values
+
             with pytest.warns(ConvergenceWarning, match="nan"):
-                inversion.pgf_at_time(1, 10, plan, law, 0.5, t)
+                got = inversion.invert(fhat, t)
+            assert np.isnan(got) == (bad == 0)
 
     def test_vector_transform(self):
         pairs = KNOWN_PAIRS[:6]
@@ -77,17 +96,15 @@ class TestInvert:
         with pytest.raises(DomainError):
             inversion.invert(lambda g: 1.0, 0.0)
 
-    @pytest.mark.parametrize("cross_check", [True, False])
-    def test_fhat_called_once_with_every_node(self, cross_check):
+    def test_fhat_called_once_with_every_node(self):
         shapes = []
 
         def fhat(g):
             shapes.append(np.shape(g))
             return g / (g + 1.0)
 
-        config = inversion.InversionConfig(cross_check=cross_check)
-        got = inversion.invert(fhat, 1.0, config)
-        assert shapes == [(65,) if cross_check else (33,)]
+        got = inversion.invert(fhat, 1.0)
+        assert shapes == [(74,)]
         assert got == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_pmf_at_time_builds_tables_once(self, monkeypatch):
@@ -106,10 +123,15 @@ class TestInvert:
         assert calls == {"build_tables": 1, "sweep": 1}
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            inversion.InversionConfig(method="bogus")
-        with pytest.raises(ValueError):
-            inversion.InversionConfig(nodes=7)
+        # the tolerance is the one setting: method and node counts are fixed
+        assert [f.name for f in dataclasses.fields(inversion.InversionConfig)] == [
+            "cross_tolerance"
+        ]
+        assert inversion.InversionConfig().cross_tolerance == 1e-6
+        with pytest.raises(TypeError):
+            inversion.InversionConfig(method="euler")
+        with pytest.raises(TypeError):
+            inversion.InversionConfig(nodes=32)
 
 
 class TestPmfAtTime:
@@ -157,11 +179,46 @@ class TestPmfAtTime:
 
     def test_deterministic_service_flags_rough_original(self):
         # a deterministic departure epoch makes P(Z(t)=l) jump in t, which
-        # the euler/talbot cross-check reports rather than hiding
+        # the cross-check at a second node count reports rather than hiding
         with pytest.warns(ConvergenceWarning):
             inversion.pmf_at_time(
                 1, 1, kernels.Constant(1.0, 1), service.Deterministic(0.8), 1.3
             )
+
+
+class TestCrossCheckRegressions:
+    """The check is Euler at a second node count: it stays quiet where the
+    answer is right and warns where it is not."""
+
+    def test_large_pool_late_time_is_quiet_and_right(self):
+        plan, law = kernels.Constant(0.95, 40), service.Exponential(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            got = inversion.pmf_at_time(5, 40, plan, law, 40.0)
+        ref = simulate.ctmc_at_time(5, 40, plan, law, 40.0).sum(axis=1)
+        assert np.max(np.abs(got - ref)) < 1e-9
+
+    def test_late_probe_is_quiet(self):
+        plan, law = kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            inversion.pmf_at_time(2, 20, plan, law, 20.0)
+
+    def test_deterministic_quiet_before_first_departure(self):
+        plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            inversion.pmf_at_time(1, 10, plan, law, 0.5)
+        with pytest.warns(ConvergenceWarning, match="euler-32 and euler-40"):
+            inversion.pmf_at_time(1, 10, plan, law, 2.0)
+
+    def test_large_pool_very_late_time_warns(self):
+        # Euler-32 is off by 6.9e-6 here against simulate.ctmc_at_time and
+        # the gap to Euler-40 is 7.2e-6; the reference is left out because
+        # it takes 19 s on a 2-vCPU Xeon
+        plan, law = kernels.Constant(0.95, 60), service.Exponential(1.0)
+        with pytest.warns(ConvergenceWarning, match="euler-32 and euler-40"):
+            inversion.pmf_at_time(5, 60, plan, law, 120.0)
 
 
 class TestScalarWrappers:

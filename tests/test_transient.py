@@ -263,14 +263,21 @@ class TestComplexGamma:
         assert abs(poly(1.0) - 1.0) < 1e-10
 
 
+def far_left_nodes(r):
+    """Nodes r theta (cot theta + i) for theta = pi j / 32, 0 < j < 32: a
+    contour that bends far into the left half-plane as theta nears pi."""
+    theta = np.pi * np.arange(1, 32) / 32
+    return r * theta * (1.0 / np.tan(theta) + 1j)
+
+
 def contour_nodes():
-    """Euler nodes at t = 1, Talbot nodes at t = 0.5 (the first one real),
-    and the far-left Talbot nodes at t = 0.1, where Deterministic tables
-    overflow."""
+    """Euler nodes at t = 1, a real node and complex nodes on a contour
+    through it, and the six most far-left nodes at r = 128, where
+    Deterministic tables overflow."""
     euler, _ = inversion._euler_nodes(1.0, 32)
-    talbot, _ = inversion._talbot_nodes(0.5, 32)
-    far, _ = inversion._talbot_nodes(0.1, 32)
-    return np.concatenate((euler, talbot, far[-6:]))
+    return np.concatenate(
+        (euler, [25.6], far_left_nodes(25.6), far_left_nodes(128.0)[-6:])
+    )
 
 
 def assert_node_matches(batched, single):
@@ -318,7 +325,7 @@ class TestNodeAxis:
         k, m = 2, 6
         plan = kernels.Constant(0.7, m)
         clean = inversion._euler_nodes(1.0, 32)[0]
-        bad = np.array([np.nan, inversion._talbot_nodes(0.1, 32)[0][-1]])
+        bad = np.array([np.nan, far_left_nodes(128.0)[-1]])
         mixed = np.concatenate((bad[:1], clean[:10], bad[1:], clean[10:]))
         keep = np.isin(mixed, clean)
         with np.errstate(all="ignore"):
