@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from math import asin, sqrt
+from math import asin, inf, sqrt
 
 import numpy as np
 import yaml
@@ -53,7 +53,7 @@ def parse_service(text):
             return service.Deterministic(args[0])
         if kind == "pareto" and len(args) == 2:
             return service.Pareto(args[0], args[1])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad service law {text!r}: {exc}") from exc
     raise UsageError(
         f"bad service law {text!r}; expected exp:RATE, erlang:SHAPE,RATE, "
@@ -147,22 +147,26 @@ class Settings:
             raise UsageError(f"missing required parameter --{key}")
         return self._values[key]
 
-    def model(self, need_plan=True):
+    def model(self):
         k = int(self.require("k"))
         m = int(self.require("m"))
         law = parse_service(str(self.require("service")))
         if m == 0 and "plan" not in self._values:
             plan = kernels.Constant(1.0, 0)
-        elif need_plan:
-            plan = parse_plan(str(self.require("plan")), m)
         else:
-            plan = None
+            plan = parse_plan(str(self.require("plan")), m)
         return k, m, plan, law
 
-    def echo(self, extra=None):
+    def killing_rate(self):
+        """The required --gamma, finite and nonnegative."""
+        gamma = float(self.require("gamma"))
+        if not 0 <= gamma < inf:
+            raise UsageError(f"--gamma must be finite and nonnegative, got {gamma}")
+        return gamma
+
+    def echo(self):
         out = dict(self._values)
         out.pop("output", None)
-        out.update(extra or {})
         return {str(key): _scalar(value) for key, value in sorted(out.items())}
 
 
@@ -189,9 +193,9 @@ def _cell(value):
     return str(value)
 
 
-def emit(settings, header, rows, extra_echo=None):
+def emit(settings, header, rows):
     fmt = str(settings.get("format", "csv"))
-    echoed = settings.echo(extra_echo)
+    echoed = settings.echo()
     if fmt == "json":
         payload = {
             "config": echoed,
@@ -223,7 +227,7 @@ def emit(settings, header, rows, extra_echo=None):
 
 def cmd_pgf(settings):
     k, m, plan, law = settings.model()
-    gamma = float(settings.require("gamma"))
+    gamma = settings.killing_rate()
     z_grid = _floats(settings.get("z", "0.25,0.5,0.75,1"))
     poly = transient.pgf(k, m, plan, law, gamma)
     rows = [(format_number(z), poly(z)) for z in z_grid]
@@ -232,7 +236,7 @@ def cmd_pgf(settings):
 
 def cmd_pmf(settings):
     k, m, plan, law = settings.model()
-    gamma = float(settings.require("gamma"))
+    gamma = settings.killing_rate()
     probs = transient.pmf(k, m, plan, law, gamma)
     rows = [(level, p) for level, p in enumerate(probs)]
     emit(settings, ["level", "probability"], rows)
@@ -240,7 +244,7 @@ def cmd_pmf(settings):
 
 def cmd_moments(settings):
     k, m, plan, law = settings.model()
-    gamma = float(settings.require("gamma"))
+    gamma = settings.killing_rate()
     orders = _ints(settings.get("orders", "1,2"))
     values = transient.factorial_moments(k, m, plan, law, gamma, max(orders))
     rows = [(order, values[order]) for order in orders]
@@ -249,7 +253,7 @@ def cmd_moments(settings):
 
 def cmd_workload(settings):
     k, m, plan, law = settings.model()
-    gamma = float(settings.require("gamma"))
+    gamma = settings.killing_rate()
     alphas = _floats(settings.require("alpha"))
     rows = [
         (format_number(a), transient.workload_lst(k, m, plan, law, gamma, a))
@@ -355,6 +359,10 @@ def cmd_validate(settings):
     gamma = float(settings.get("gamma", 1.0))
     reps = int(settings.get("replications", 200_000))
     seed = int(settings.get("seed", 0))
+    # Built first: its checks reject a bad gamma before any transform runs.
+    config = simulate.SimConfig(
+        k=k, m=m, plan=plan, law=law, gamma=gamma, replications=reps, seed=seed
+    )
     checks = []
 
     exact = transient.pmf(k, m, plan, law, gamma)
@@ -363,12 +371,7 @@ def cmd_validate(settings):
         err = float(np.max(np.abs(exact - marginal)))
         checks.append(("pgf_vs_ctmc_resolvent", err, err <= 1e-10))
 
-    report = simulate.simulate(
-        simulate.SimConfig(
-            k=k, m=m, plan=plan, law=law, gamma=gamma,
-            replications=reps, seed=seed,
-        )
-    )
+    report = simulate.simulate(config)
     worst = max(
         frequency_deviate(est.value, exact[level], reps)
         for level, est in enumerate(report.kill_pmf)

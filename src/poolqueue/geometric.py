@@ -11,8 +11,10 @@ Only this exponential-service, constant-rate case is covered; the closed
 form does not extend to other laws or plans.
 """
 
-import numpy as np
 from dataclasses import dataclass
+from math import inf
+
+import numpy as np
 
 from .errors import DomainError, SingularityGuard
 
@@ -29,8 +31,8 @@ class GeometricPoolParams:
     gamma: float
 
     def __post_init__(self):
-        if min(self.lam, self.mu, self.gamma) <= 0:
-            raise ValueError("all three rates must be positive")
+        if not all(0 < x < inf for x in (self.lam, self.mu, self.gamma)):
+            raise ValueError("all three rates must be positive and finite")
 
     @property
     def xi(self):

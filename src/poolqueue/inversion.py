@@ -68,7 +68,7 @@ def invert(fhat, t, config=None):
     ConvergenceWarning is emitted unless every component of it agrees with
     the CHECK_NODES estimate within tolerance (a NaN never agrees).
     """
-    if t <= 0:
+    if not t > 0:
         raise DomainError("inversion requires t > 0")
     config = config or InversionConfig()
     answer_nodes, answer_weights = _euler_nodes(t, ANSWER_NODES)

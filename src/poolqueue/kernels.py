@@ -36,6 +36,7 @@ of one.
 """
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -66,8 +67,8 @@ class RatePlan:
 
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("all rates must be positive")
+        if not all(0 < r < inf for r in self.rates):
+            raise ValueError("all rates must be positive and finite")
 
     @property
     def m(self):
@@ -75,8 +76,8 @@ class RatePlan:
 
 
 def _check_rate_and_size(lam, m):
-    if lam <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < lam < inf:
+        raise ValueError("rate must be positive and finite")
     if m < 0:
         raise ValueError("pool size must be nonnegative")
 

@@ -10,7 +10,7 @@ instead.  Pareto is simulation-only (tail, mean, sample).
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, inf
 
 import numpy as np
 
@@ -36,8 +36,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < inf:
+            raise ValueError("rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,10 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        if self.shape < 1 or int(self.shape) != self.shape:
+        if not 1 <= self.shape < inf or int(self.shape) != self.shape:
             raise ValueError("shape must be a positive integer")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < inf:
+            raise ValueError("rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,11 @@ class HyperExponential:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if len(self.weights) != len(self.rates) or not self.weights:
             raise ValueError("weights and rates must be nonempty and equal length")
-        if any(q <= 0 for q in self.weights):
-            raise ValueError("weights must be positive")
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("rates must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not all(0 < q < inf for q in self.weights):
+            raise ValueError("weights must be positive and finite")
+        if not all(0 < r < inf for r in self.rates):
+            raise ValueError("rates must be positive and finite")
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1")
 
 
@@ -75,8 +75,8 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("value must be positive")
+        if not 0 < self.value < inf:
+            raise ValueError("value must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,10 @@ class Pareto:
     scale: float
 
     def __post_init__(self):
-        if self.index <= 1:
-            raise ValueError("tail index must exceed 1 (finite mean)")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 1 < self.index < inf:
+            raise ValueError("tail index must be finite and exceed 1 (finite mean)")
+        if not 0 < self.scale < inf:
+            raise ValueError("scale must be positive and finite")
 
 
 ServiceLaw = Exponential | Erlang | HyperExponential | Deterministic | Pareto

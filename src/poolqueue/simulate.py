@@ -14,6 +14,7 @@ of the dense generator, which caps the state space.
 """
 
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -46,8 +47,8 @@ class SimConfig:
             raise ValueError("need at least one replication")
         if self.k < 0 or self.m < 0:
             raise ValueError("k and m must be nonnegative")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive or None")
+        if self.gamma is not None and not 0 < self.gamma < inf:
+            raise ValueError("gamma must be positive and finite, or None")
         if any(not t >= 0 for t in self.times):
             raise ValueError("times must be nonnegative")
         for j, t in self.tail_points:
@@ -60,9 +61,6 @@ class Estimate:
     value: float
     stderr: float
 
-    def as_tuple(self):
-        return (self.value, self.stderr)
-
 
 @dataclass
 class SimReport:
@@ -73,24 +71,6 @@ class SimReport:
     workload_lst: dict = field(default_factory=dict)  # alpha -> Estimate
     waiting_means: list = field(default_factory=list)  # Estimate per customer j
     waiting_tail: dict = field(default_factory=dict)  # (j, t) -> Estimate
-
-    def to_dict(self):
-        cfg = self.config
-        return {
-            "config": {
-                "k": cfg.k,
-                "m": cfg.m,
-                "gamma": cfg.gamma,
-                "replications": cfg.replications,
-                "seed": cfg.seed,
-            },
-            "kill_pmf": [e.as_tuple() for e in self.kill_pmf],
-            "time_pmf": {str(t): [e.as_tuple() for e in es] for t, es in self.time_pmf.items()},
-            "pgf_values": {str(z): e.as_tuple() for z, e in self.pgf_values.items()},
-            "workload_lst": {str(a): e.as_tuple() for a, e in self.workload_lst.items()},
-            "waiting_means": [e.as_tuple() for e in self.waiting_means],
-            "waiting_tail": {f"{j},{t}": e.as_tuple() for (j, t), e in self.waiting_tail.items()},
-        }
 
 
 class _Acc:

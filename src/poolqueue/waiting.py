@@ -4,12 +4,13 @@ Customers are numbered 1..k+m in service order: the k initially present
 (waiting measured from time zero) followed by the m arrivals.  Customer
 j = k + m - n' + 1 arrives when the count still to arrive drops from n'.
 Either it finds the system empty, or it is the (i+1)-th arrival during a
-service that started in state (l, n) with n - i = n', and then it waits for
-the residual of that service plus l - 1 + i full services.  Both cases are
-read off the forward diagonal sweep of the embedded departure chain that
-gives the queue-length PGF (transient.sweep), run at gamma = 0 so that no
-mass is lost to a deadline: the mass on the empty state (0, n'), and the
-transform of the wait deposited on the outstanding count n'.
+service that started in state (l, n) with n - i = n', and then it finds
+c = l + i present and waits for the residual of that service plus c - 1
+full services.  Both cases are read off the forward diagonal sweep of the
+embedded departure chain that gives the queue-length PGF
+(transient.sweep), run at gamma = 0 so that no mass is lost to a
+deadline: the mass on the empty state (0, n'), and the column n' of its
+joint table, weighted by beta(alpha)^{c-1} on row c.
 """
 
 from functools import lru_cache
@@ -38,9 +39,7 @@ def emptiness_probs(k, m, plan, law):
     if m == 0:
         return np.zeros(0)
     tables = kernels.build_tables(plan, law, 0.0)
-    _, empty, _ = transient.sweep(
-        k, m, plan, 0.0, tables.u, tables.v, np.ones(k + m + 1), float
-    )
+    _, empty = transient.sweep(k, m, plan, 0.0, tables.u, tables.v)
     return empty[m:0:-1]
 
 
@@ -48,21 +47,18 @@ def emptiness_probs(k, m, plan, law):
 def _waiting_lsts(alpha, k, m, plan, law):
     """E[e^{-alpha W_j}] for j = 1..k+m, read-only, from one gamma = 0 sweep.
 
-    A service from (l, n) deposits lambda_{n-i} beta(alpha)^{l-1+i} times
-    the residual-service row r_{ni}(alpha) on the outstanding count n - i.
+    Swept with the residual-service kernel r(alpha), joint[c, n'] is the
+    transform of the residual service at the moment the count still to
+    arrive is n' and c are present, integrated over time; the arrival at
+    rate lambda_{n'} then waits that residual and c - 1 full services.
+    Adding the mass on the empty state (0, n') gives the customer's LST.
     """
-    dtype = complex if np.iscomplexobj(alpha) else float
-    beta = service.lst(law, alpha)
     u, residual = kernels.kernel_rows(plan, law, 0.0, alpha, 1.0)
+    joint, empty = transient.sweep(k, m, plan, 0.0, u, residual)
+    powers = service.lst(law, alpha) ** np.arange(k + m)
     lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
-    powers = beta ** np.arange(k + m + 1)
-    deposit = [lams[n::-1] * powers[: n + 1] * row for n, row in enumerate(residual)]
-    # beta(alpha)^{l-1} per row; the l = 0 row never uses its factor.
-    row_factors = np.concatenate(([1.0], powers[:-1]))
-    _, empty, outstanding = transient.sweep(
-        k, m, plan, 0.0, u, deposit, row_factors, dtype
-    )
-    lsts = np.concatenate((powers[:k], (empty + outstanding)[m:0:-1]))
+    arriving = empty + lams * (powers @ joint[1:])
+    lsts = np.concatenate((powers[:k], arriving[m:0:-1]))
     lsts.setflags(write=False)
     return lsts
 
@@ -76,7 +72,7 @@ def waiting_lst(j, alpha, k, m, plan, law, rhos=None):
     """
     if not 1 <= j <= k + m:
         raise DomainError("customer index out of range")
-    if alpha.real < 0:
+    if not alpha.real >= 0:
         raise DomainError("alpha must have nonnegative real part")
     value = _waiting_lsts(alpha, k, m, plan, law)[j - 1]
     if np.imag(alpha) == 0:

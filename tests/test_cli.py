@@ -138,6 +138,19 @@ class TestSubcommands:
         assert float(rows[0][1]) == pytest.approx(1.0)
         assert float(rows[1][1]) == pytest.approx(0.5)
 
+    def test_workload_prints_real_numbers(self, capsys):
+        argv = ["workload", "--k", "2", "--m", "3", "--plan", "const:1",
+                "--service", "exp:1", "--gamma", "0.5", "--alpha", "0.5"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["alpha", "workload_lst"]
+        assert rows == [["0.5", "0.546152647462"]]
+        expected = transient.workload_lst(
+            2, 3, kernels.Constant(1.0, 3), service.Exponential(1.0), 0.5, 0.5
+        )
+        assert float(rows[0][1]) == pytest.approx(expected, abs=1e-12)
+
     def test_at_time(self, capsys):
         code, out, _ = run(
             ["at-time", "--k", "1", "--m", "0", "--service", "exp:1", "--t", "1"],
@@ -237,6 +250,44 @@ class TestErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(["bogus"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("pmf", "--gamma", "-0.5"),
+            ("pgf", "--gamma", "nan"),
+            ("moments", "--gamma", "inf"),
+            ("workload", "--gamma", "-inf"),
+            ("pmf", "--plan", "const:nan"),
+            ("pmf", "--plan", "prop:inf"),
+            ("pmf", "--service", "exp:nan"),
+            ("pmf", "--service", "erlang:inf,1"),
+            ("workload", "--alpha", "nan"),
+            ("waiting", "--alpha", "nan"),
+            ("at-time", "--t", "nan"),
+            ("geometric", "--lam", "nan"),
+            ("validate", "--gamma", "inf"),
+        ],
+    )
+    def test_non_finite_or_negative_input_rejected(self, command, flag, value, capsys):
+        model = {"--k": "1", "--m": "2", "--plan": "const:1", "--service": "exp:1"}
+        argv = {
+            "pmf": {**model, "--gamma": "0.5"},
+            "pgf": {**model, "--gamma": "0.5"},
+            "moments": {**model, "--gamma": "0.5"},
+            "workload": {**model, "--gamma": "0.5", "--alpha": "0.5"},
+            "waiting": {**model, "--alpha": "0.5"},
+            "at-time": {**model, "--t": "1"},
+            "geometric": {
+                "--lam": "1", "--mu": "1", "--gamma": "1", "--r": "0.3", "--z": "0.4"
+            },
+            "validate": {**model, "--gamma": "1", "--replications": "1000"},
+        }[command]
+        argv[flag] = value
+        code, out, err = run([command] + [f"{f}={v}" for f, v in argv.items()], capsys)
+        assert code == 1
+        assert out == ""
+        assert err
 
     def test_numeric_guard_surfaces(self, capsys):
         # z on a guard band must fail loudly, not silently emit numbers

@@ -169,5 +169,7 @@ class TestGuards:
             geometric.g(params, 1.0, 0.3, 0.6)
         with pytest.raises(DomainError):
             geometric.m0(params, 0.3, 1.5)
-        with pytest.raises(ValueError):
-            geometric.GeometricPoolParams(1.0, 0.0, 1.0)
+        nan, inf = float("nan"), float("inf")
+        for rates in ((1.0, 0.0, 1.0), (nan, 1.0, 1.0), (1.0, 1.0, inf)):
+            with pytest.raises(ValueError):
+                geometric.GeometricPoolParams(*rates)

@@ -93,8 +93,9 @@ class TestInvert:
             assert value == pytest.approx(original(1.3), abs=1e-8)
 
     def test_requires_positive_time(self):
-        with pytest.raises(DomainError):
-            inversion.invert(lambda g: 1.0, 0.0)
+        for t in (0.0, float("nan")):
+            with pytest.raises(DomainError):
+                inversion.invert(lambda g: 1.0, t)
 
     def test_fhat_called_once_with_every_node(self):
         shapes = []

@@ -41,6 +41,12 @@ class TestRatePlans:
             lambda: kernels.Proportional(0.5, -2),
             lambda: kernels.General((1.0, 0.0)),
             lambda: kernels.General((-2.0,)),
+            lambda: kernels.Constant(float("nan"), 3),
+            lambda: kernels.Constant(float("inf"), 3),
+            lambda: kernels.Proportional(float("nan"), 2),
+            lambda: kernels.Proportional(float("inf"), 2),
+            lambda: kernels.General((1.0, float("nan"))),
+            lambda: kernels.General((float("inf"),)),
         ],
     )
     def test_constructors_reject_bad_input(self, bad):

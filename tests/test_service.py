@@ -269,6 +269,21 @@ class TestValidation:
             lambda: service.Deterministic(-1.0),
             lambda: service.Pareto(1.0, 1.0),
             lambda: service.Pareto(1.5, 0.0),
+            lambda: service.Exponential(float("nan")),
+            lambda: service.Exponential(float("inf")),
+            lambda: service.Erlang(2, float("nan")),
+            lambda: service.Erlang(2, float("inf")),
+            lambda: service.Erlang(float("nan"), 1.0),
+            lambda: service.Erlang(float("inf"), 1.0),
+            lambda: service.HyperExponential((float("nan"), 1.0), (1.0, 2.0)),
+            lambda: service.HyperExponential((0.5, 0.5), (1.0, float("nan"))),
+            lambda: service.HyperExponential((0.5, 0.5), (float("inf"), 2.0)),
+            lambda: service.Deterministic(float("nan")),
+            lambda: service.Deterministic(float("inf")),
+            lambda: service.Pareto(float("nan"), 1.0),
+            lambda: service.Pareto(float("inf"), 1.0),
+            lambda: service.Pareto(1.5, float("nan")),
+            lambda: service.Pareto(1.5, float("inf")),
         ],
     )
     def test_bad_parameters(self, bad):

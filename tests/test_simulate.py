@@ -82,7 +82,7 @@ class TestSimulate:
         # more replications than one chunk, so substream stitching matters
         a = simulate.simulate(config(replications=450_000, seed=42))
         b = simulate.simulate(config(replications=450_000, seed=42))
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_seed_changes_estimates(self):
         a = simulate.simulate(config(seed=1, replications=10_000))
@@ -150,7 +150,7 @@ class TestSimulate:
             config(replications=0)
         with pytest.raises(ValueError):
             config(k=-1)
-        for gamma in (0.0, -1.0, float("nan")):
+        for gamma in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 config(gamma=gamma)
         for t in (-0.5, float("nan")):

@@ -100,13 +100,14 @@ class TestPgf:
         lam, mu, gamma = triple
         law = service.Exponential(mu)
         prop = kernels.Proportional(lam, 25)
+        const = kernels.Constant(lam, 40)
         for k, m, plan, tables in [
-            (10, 40, kernels.Constant(lam, 40), None),
+            (10, 40, const, kernels.build_tables(const, law, gamma)),
             (5, 25, prop, exponential_tables(prop, mu, gamma)),
         ]:
-            poly = transient.pgf(k, m, plan, law, gamma, tables=tables)
+            joint, _ = transient.sweep(k, m, plan, gamma, tables.u, tables.v)
             marginal = simulate.ctmc_resolvent(k, m, plan, law, gamma).sum(axis=1)
-            assert np.max(np.abs(poly.coeffs - marginal)) < 1e-10
+            assert np.max(np.abs(joint.sum(axis=1) - marginal)) < 1e-10
 
     @pytest.mark.parametrize("triple", EXP_TRIPLES)
     def test_built_tables_match_ctmc_resolvent(self, triple):
@@ -119,18 +120,17 @@ class TestPgf:
 
     @pytest.mark.parametrize("triple", EXP_TRIPLES)
     def test_sweep_outstanding_matches_ctmc_resolvent(self, triple):
-        # The killed mass grouped by the count still to arrive is the law of
-        # that count at the deadline: the resolvent's other marginal.
+        # The killed mass by count present and count still to arrive is the
+        # law of (Z(T), N(T)) at the deadline: the whole resolvent.
         lam, mu, gamma = triple
         law = service.Exponential(mu)
         k, m = 5, 25
         for plan in plans(m, lam):
             tables = kernels.build_tables(plan, law, gamma)
-            _, _, outstanding = transient.sweep(
-                k, m, plan, gamma, tables.u, tables.v, np.ones(k + m + 1), float
-            )
-            marginal = simulate.ctmc_resolvent(k, m, plan, law, gamma).sum(axis=0)
-            assert np.max(np.abs(outstanding - marginal)) < 1e-12
+            joint, _ = transient.sweep(k, m, plan, gamma, tables.u, tables.v)
+            resolvent = simulate.ctmc_resolvent(k, m, plan, law, gamma)
+            assert joint.shape == resolvent.shape == (k + m + 1, m + 1)
+            assert np.max(np.abs(joint - resolvent)) < 1e-12
 
     @pytest.mark.parametrize(
         "plan",
@@ -185,12 +185,37 @@ class TestJointTransform:
         )
         assert joint(1.0) == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            transient.joint_transform(
+                1, 2, kernels.Constant(1.0, 2), service.Exponential(1.0), 1.0, alpha
+            )
+
     def test_value_at_one_alpha_zero_is_one(self):
         law = service.Erlang(3, 2.5)
         joint = transient.joint_transform(
             3, 2, kernels.Proportional(0.7, 2), law, 0.8, 0.0
         )
         assert abs(joint(1.0) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_one_kernel_build(self, law, monkeypatch):
+        calls = []
+        original = kernels.kernel_rows
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "kernel_rows", counted)
+        plan = kernels.Constant(0.9, 5)
+        joint = transient.joint_transform(2, 5, plan, law, 0.7, 0.6)
+        assert len(calls) == 1
+        # Real at real gamma and alpha.
+        total = transient.workload_lst(2, 5, plan, law, 0.7, 0.6)
+        assert joint.coeffs.dtype == total.dtype == np.float64
+        assert abs(joint.coeffs.sum() - total) < 1e-15
 
 
 class TestWorkloadLst:
