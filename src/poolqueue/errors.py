@@ -22,7 +22,8 @@ class NormalizationError(PoolQueueError):
 
 
 class UnsupportedOracle(PoolQueueError):
-    """An exact oracle was requested for a service law it does not cover."""
+    """An exact CTMC oracle was requested for a service law that is not
+    phase-type (Deterministic or Pareto), so it has no finite chain."""
 
 
 class ConvergenceWarning(UserWarning):

@@ -4,13 +4,14 @@ The Monte Carlo path replays the model directly -- draw the interarrival
 chain and all service times, run the FIFO single-server recursion over
 cache-sized blocks of replications -- and therefore shares no code with the
 transform pipeline it validates.  Level probabilities are estimated from
-per-level hit counts.  For exponential service the model is a finite
-continuous-time Markov chain on (customers present, customers yet to
-arrive).  Every transition lowers the yet-to-arrive count or, keeping it,
-the number present, so the chain is acyclic: its distribution at an
-exponential deadline (resolvent) follows by forward substitution in O(states)
-time and memory.  Its distribution at a fixed time comes from uniformization
-of the dense generator, which caps the state space.
+per-level hit counts.  For phase-type service (alpha, S) the model is a
+finite continuous-time Markov chain on (customers present, customers yet
+to arrive, service phase), held as an array x[ell, n, phase] in which the
+idle state (0, n) is stored as its mass times alpha: an arrival then moves
+every row (ell, n) to (ell+1, n-1) alike, a completion from ell >= 1 feeds
+ell-1 through s0 alpha, and only rows ell >= 1 take the phase moves of S.
+Its distribution at an exponential deadline (resolvent) follows by
+substitution, column by column; at a fixed time, by uniformization.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +20,7 @@ from math import inf
 import numpy as np
 
 from . import kernels, service
-from .errors import UnsupportedOracle
-from .service import Exponential
+from .errors import UnsupportedOracle, UnsupportedTransform
 
 __all__ = ["SimConfig", "SimReport", "simulate", "ctmc_resolvent", "ctmc_at_time"]
 
@@ -207,103 +207,82 @@ def simulate(config):
     return report
 
 
-def _state_index(ell, n, m):
-    return ell * (m + 1) + n
-
-
-def _service_rate(law):
-    if not isinstance(law, Exponential):
-        raise UnsupportedOracle("exact CTMC oracles require exponential service")
-    return law.rate
-
-
-def _generator(k, m, plan, law):
-    """Dense generator of the (ell, n) chain for ctmc_at_time."""
-    mu = _service_rate(law)
-    size = (k + m + 1) * (m + 1)
-    if size > 10_000:
-        raise ValueError("CTMC state space too large")
-    rates = kernels.plan_rates(plan)
-    Q = np.zeros((size, size))
-    for ell in range(k + m + 1):
-        for n in range(m + 1):
-            if ell + n > k + m:
-                continue  # unreachable: more customers than the pool holds
-            s = _state_index(ell, n, m)
-            if n >= 1:
-                lam = rates[n - 1]
-                Q[s, _state_index(ell + 1, n - 1, m)] += lam
-                Q[s, s] -= lam
-            if ell >= 1:
-                Q[s, _state_index(ell - 1, n, m)] += mu
-                Q[s, s] -= mu
-    return Q, size
+def _phases(law):
+    """(alpha, S, s0 = -S 1) of a phase-type law."""
+    try:
+        start, sub = service.phase_type(law)
+    except UnsupportedTransform as exc:
+        raise UnsupportedOracle(f"exact CTMC oracles need phase-type service: {exc}") from None
+    return start, sub, -sub.sum(axis=1)
 
 
 def ctmc_resolvent(k, m, plan, law, gamma):
     """Exact distribution of (Z, still-to-arrive) at an Exp(gamma) deadline.
 
-    Returns an array P[ell, n]; the marginal over n matches the pgf
-    coefficients from the transform recursion.  An arrival moves (ell, n)
-    to (ell+1, n-1) at rate lambda_n and a departure to (ell-1, n) at rate
-    mu, so taking n from m down to 0 and, within n, ell from k+m-n down to
-    0 visits every state after both of its predecessors:
+    Returns an array P[ell, n] summed over phases; its marginal over n
+    matches the pgf coefficients.  Every transition lowers n or, keeping
+    it, ell, so columns n = m..0 are solved in turn, each from ell = k+m-n
+    down.  With R_n = ((gamma + lambda_n) I - S)^{-1}, b[ell] the deadline
+    and arrival inflow and c_ell = x[ell, n] s0 the completion outflow,
 
-        P[ell, n] = (gamma 1{(ell, n) = (k, m)} + lambda_{n+1} P[ell-1, n+1]
-                     + mu P[ell+1, n]) / (gamma + lambda_n + mu 1{ell >= 1}).
+        x[ell, n] = (b[ell] + c_{ell+1} alpha) R_n      (ell >= 1),
+        x[0, n] = (b[0] + c_1 alpha) / (gamma + lambda_n),
 
-    States with ell + n > k + m are unreachable and stay zero.
+    so one matmul applies R_n to a whole column and the completions are the
+    scalar recursion c_ell = b[ell] R_n s0 + c_{ell+1} alpha R_n s0.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    mu = _service_rate(law)
-    top = k + m
-    rates = [0.0, *kernels.plan_rates(plan)[:m].tolist(), 0.0]  # lambda_0..lambda_{m+1}
-    dist = np.zeros((top + 1, m + 1))
-    above = [0.0] * (top + 1)  # P[., n+1]
+    if not 0 < gamma < inf:
+        raise ValueError("gamma must be positive and finite")
+    start, sub, exit_ = _phases(law)
+    top, rates = k + m, np.r_[0.0, kernels.plan_rates(plan)[:m]]  # lambda_0 = 0
+    res = np.linalg.inv((gamma + rates)[:, None, None] * np.eye(len(start)) - sub)
+    feeds = start @ res  # alpha R_n: a completion's restart, per column
+    ratios = (feeds @ exit_).tolist()
+    x = np.zeros((top + 1, m + 1, len(start)))
+    x[k, m] = gamma * start
     for n in range(m, -1, -1):
-        lam_in, leave = rates[n + 1], gamma + rates[n]
-        col = [0.0] + [lam_in * p for p in above[:top]]  # arrivals into (ell, n)
-        if n == m:
-            col[k] += gamma
-        right = 0.0  # P[ell+1, n]
-        for ell in range(top - n, -1, -1):
-            right = (col[ell] + mu * right) / (leave + (mu if ell else 0.0))
-            col[ell] = right
-        dist[:, n] = col
-        above = col
-    return dist
+        col = x[: top - n + 1, n]
+        if n < m:
+            col[1:] += rates[n + 1] * x[: top - n, n + 1]  # arrivals from n+1
+        busy = col[1:] @ res[n]
+        done, ratio = (busy @ exit_).tolist(), ratios[n]
+        carry = [0.0] * (top - n + 1)  # carry[i] = c_{i+1}
+        for i in range(top - n - 1, -1, -1):
+            carry[i] = done[i] + ratio * carry[i + 1]
+        col[1:] = busy + np.array(carry[1:])[:, None] * feeds[n]
+        col[0] = (col[0] + carry[0] * start) / (gamma + rates[n])
+    return x.sum(axis=2)
 
 
 def ctmc_at_time(k, m, plan, law, t):
-    """Exact distribution of (Z, still-to-arrive) at time t, by uniformization."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    Q, size = _generator(k, m, plan, law)
-    q = float(np.max(-np.diag(Q)))
-    init = np.zeros(size)
-    init[_state_index(k, m, m)] = 1.0
-    if q == 0.0 or t == 0.0:
-        return init.reshape(k + m + 1, m + 1)
-    if q * t > 200.0:
-        # Poisson weights underflow; fall back to a direct matrix exponential.
-        from scipy.linalg import expm
+    """Exact distribution of (Z, still-to-arrive) at time t, by uniformization.
 
-        out = init @ expm(Q * t)
-        return out.reshape(k + m + 1, m + 1)
-    P = np.eye(size) + Q / q
-    out = np.zeros(size)
-    vec = init
-    weight = np.exp(-q * t)
-    cumulative = weight
-    out += weight * vec
-    j = 0
-    while cumulative < 1.0 - 1e-12:
-        j += 1
-        vec = vec @ P
-        weight *= q * t / j
-        out += weight * vec
-        cumulative += weight
-        if j > 10_000:
-            break
-    return out.reshape(k + m + 1, m + 1)
+    With q the largest exit rate, one step x + x Q / q of the (ell, n,
+    phase) array is a few shifted slices.  The Poisson series is summed
+    over pieces with q dt <= 50, so that e^{-q dt} cannot underflow, each
+    stopped past its mean once the weight falls below 1e-18.
+    """
+    if not 0 <= t < inf:
+        raise ValueError("t must be nonnegative and finite")
+    start, sub, exit_ = _phases(law)
+    rates = np.r_[0.0, kernels.plan_rates(plan)[:m]]  # lambda_0 = 0
+    q = rates.max() + np.max(-np.diag(sub))
+    stay, arrive = (1.0 - rates / q)[:, None], rates[1:, None] / q
+    move, done = sub / q, exit_ / q
+    x = np.zeros((k + m + 1, m + 1, len(start)))
+    x[k, m] = start
+    pieces = int(np.ceil(q * t / 50.0))
+    for _ in range(pieces):
+        mean = q * t / pieces
+        weight = np.exp(-mean)
+        step, out, j = x, weight * x, 0
+        while j <= mean or weight >= 1e-18:
+            nxt = stay * step  # then phase moves, arrivals and completions
+            nxt[1:] += step[1:] @ move
+            nxt[1:, :-1] += arrive * step[:-1, 1:]
+            nxt[:-1] += (step[1:] @ done)[..., None] * start
+            step, j = nxt, j + 1
+            weight *= mean / j
+            out += weight * step
+        x = out
+    return x.sum(axis=2)

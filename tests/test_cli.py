@@ -100,6 +100,33 @@ class TestSubcommands:
         shifted = np.roll(exact, 1)
         assert max(cli.frequency_deviate(f, p, n) for f, p in zip(freqs, shifted)) > 4.0
 
+    def test_validate_sidak_deviate(self):
+        assert cli.sidak_deviate(3.0, 1) == pytest.approx(3.0)
+        # the largest of 34 deviates at 4.28 is as rare as one deviate at 3.42
+        assert cli.sidak_deviate(4.28, 34) == pytest.approx(3.416, abs=1e-3)
+        zs = (0.0, 1.0, 3.0, 5.0, 8.0, 12.0)
+        adjusted = [cli.sidak_deviate(z, 30) for z in zs]
+        assert adjusted == sorted(adjusted)
+        assert all(a <= z for a, z in zip(adjusted, zs))
+        assert cli.sidak_deviate(50.0, 30) == 50.0
+        assert np.isnan(cli.sidak_deviate(float("nan"), 30))
+
+    @pytest.mark.parametrize(
+        "law,checked",
+        [("erlang:2,2", True), ("hyperexp:0.4,1,0.6,3", True), ("det:0.8", False)],
+    )
+    def test_validate_ctmc_check_for_phase_type(self, law, checked, capsys):
+        code, out, _ = run(
+            ["validate", "--k", "2", "--m", "3", "--plan", "const:0.9",
+             "--service", law, "--gamma", "1", "--replications", "20000"],
+            capsys,
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        statuses = {row[0]: row[2] for row in rows}
+        assert ("pgf_vs_ctmc_resolvent" in statuses) == checked
+        assert set(statuses.values()) == {"pass"}
+
     def test_waiting_table(self, capsys):
         code, out, _ = run(
             ["waiting", "--k", "1", "--m", "1", "--plan", "const:1",

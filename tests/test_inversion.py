@@ -200,10 +200,23 @@ class TestCrossCheckRegressions:
         assert np.max(np.abs(got - ref)) < 1e-9
 
     def test_late_probe_is_quiet(self):
+        # Euler-32 is off by 1.6e-11 against simulate.ctmc_at_time
         plan, law = kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            inversion.pmf_at_time(2, 20, plan, law, 20.0)
+            got = inversion.pmf_at_time(2, 20, plan, law, 20.0)
+        ref = simulate.ctmc_at_time(2, 20, plan, law, 20.0).sum(axis=1)
+        assert np.max(np.abs(got - ref)) < 1e-9
+
+    def test_hyperexponential_proportional_is_quiet_and_right(self):
+        # Euler-32 is off by 4.4e-12 against simulate.ctmc_at_time
+        plan = kernels.Proportional(0.05, 25)
+        law = service.HyperExponential((0.4, 0.6), (1.0, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            got = inversion.pmf_at_time(3, 25, plan, law, 12.0)
+        ref = simulate.ctmc_at_time(3, 25, plan, law, 12.0).sum(axis=1)
+        assert np.max(np.abs(got - ref)) < 1e-9
 
     def test_deterministic_quiet_before_first_departure(self):
         plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
@@ -215,11 +228,21 @@ class TestCrossCheckRegressions:
 
     def test_large_pool_very_late_time_warns(self):
         # Euler-32 is off by 6.9e-6 here against simulate.ctmc_at_time and
-        # the gap to Euler-40 is 7.2e-6; the reference is left out because
-        # it takes 19 s on a 2-vCPU Xeon
+        # the gap to Euler-40 is 7.2e-6
         plan, law = kernels.Constant(0.95, 60), service.Exponential(1.0)
         with pytest.warns(ConvergenceWarning, match="euler-32 and euler-40"):
-            inversion.pmf_at_time(5, 60, plan, law, 120.0)
+            got = inversion.pmf_at_time(5, 60, plan, law, 120.0)
+        ref = simulate.ctmc_at_time(5, 60, plan, law, 120.0).sum(axis=1)
+        assert np.max(np.abs(got - ref)) > 1e-6
+
+    @pytest.mark.parametrize("t", [60.0, 120.0])
+    def test_large_pool_erlang_late_time_warns(self, t):
+        # Euler-32 is off by 1.4e-6 at t = 60 and 3.6e-4 at t = 120
+        plan, law = kernels.Constant(0.95, 60), service.Erlang(4, 4.0)
+        with pytest.warns(ConvergenceWarning, match="euler-32 and euler-40"):
+            got = inversion.pmf_at_time(5, 60, plan, law, t)
+        ref = simulate.ctmc_at_time(5, 60, plan, law, t).sum(axis=1)
+        assert np.max(np.abs(got - ref)) > 1e-6
 
 
 class TestScalarWrappers:

@@ -15,6 +15,14 @@ LAWS = [
     service.Pareto(1.5, 1.0),
 ]
 
+PHASE_TYPE_LAWS = [
+    service.Exponential(1.3),
+    service.Erlang(2, 2.0),
+    service.HyperExponential((0.3, 0.7), (0.5, 2.0)),
+    service.Erlang(4, 4.0),
+]
+PHASE_TYPE_IDS = ["exp", "erlang2", "hyperexp", "erlang4"]
+
 
 def reference_replay(config, rng, n_rep):
     """The FIFO recursion one whole column at a time, with the same draws."""
@@ -36,12 +44,59 @@ def reference_replay(config, rng, n_rep):
     return arrivals, start, depart
 
 
+def dense_chain(k, m, plan, law):
+    """Dense generator of the (ell, n, phase) chain with each idle state
+    (0, n) kept as one state, its start vector and the index of each state."""
+    start, sub = service.phase_type(law)
+    exit_ = -sub.sum(axis=1)
+    phases = range(len(start))
+    rates = np.concatenate(([0.0], kernels.plan_rates(plan)[:m]))
+    index = {}
+    for n in range(m + 1):
+        index[0, n, 0] = len(index)
+        for ell in range(1, k + m - n + 1):
+            for ph in phases:
+                index[ell, n, ph] = len(index)
+    Q = np.zeros((len(index), len(index)))
+    for (ell, n, ph), s in index.items():
+        Q[s, s] -= rates[n]
+        if ell == 0:
+            if n:
+                Q[s, [index[1, n - 1, nxt] for nxt in phases]] += rates[n] * start
+            continue
+        if n:
+            Q[s, index[ell + 1, n - 1, ph]] += rates[n]
+        for nxt in phases:
+            Q[s, index[ell, n, nxt]] += sub[ph, nxt]
+            if ell == 1:
+                Q[s, index[0, n, 0]] += exit_[ph] * (nxt == 0)
+            else:
+                Q[s, index[ell - 1, n, nxt]] += exit_[ph] * start[nxt]
+    init = np.zeros(len(index))
+    for ph in phases:
+        init[index[k, m, ph if k else 0]] += start[ph]
+    return Q, init, index
+
+
+def fold(vec, index, k, m):
+    """A distribution over the chain summed over phases: P[ell, n]."""
+    out = np.zeros((k + m + 1, m + 1))
+    for (ell, n, _), s in index.items():
+        out[ell, n] += vec[s]
+    return out
+
+
 def dense_resolvent(k, m, plan, law, gamma):
     """Resolvent by one dense solve against the CTMC generator."""
-    Q, size = simulate._generator(k, m, plan, law)
-    e = np.zeros(size)
-    e[simulate._state_index(k, m, m)] = gamma
-    return np.linalg.solve((gamma * np.eye(size) - Q).T, e).reshape(k + m + 1, m + 1)
+    Q, init, index = dense_chain(k, m, plan, law)
+    x = np.linalg.solve((gamma * np.eye(len(init)) - Q).T, gamma * init)
+    return fold(x, index, k, m)
+
+
+def dense_at_time(k, m, plan, law, t):
+    """Time law by a matrix exponential of the dense generator."""
+    Q, init, index = dense_chain(k, m, plan, law)
+    return fold(init @ kernels._expm(Q[None] * t)[0], index, k, m)
 
 
 def config(**overrides):
@@ -219,12 +274,6 @@ class TestCtmcOracles:
         )
         assert dist.sum(axis=1) == pytest.approx([0.75, 0.25], abs=1e-12)
 
-    def test_generator_rows_sum_to_zero(self):
-        Q, size = simulate._generator(
-            2, 3, kernels.Proportional(0.8, 3), service.Exponential(1.3)
-        )
-        assert np.max(np.abs(Q.sum(axis=1))) < 1e-14
-
     def test_resolvent_is_distribution(self):
         dist = simulate.ctmc_resolvent(
             2, 3, kernels.Proportional(0.8, 3), service.Exponential(1.3), 0.7
@@ -253,15 +302,48 @@ class TestCtmcOracles:
             )
             assert dist.sum() == pytest.approx(1.0, abs=1e-10)
 
-    def test_requires_exponential_service(self):
-        with pytest.raises(UnsupportedOracle):
-            simulate.ctmc_resolvent(
-                1, 1, kernels.Constant(1.0, 1), service.Erlang(2, 2.0), 1.0
-            )
-        with pytest.raises(UnsupportedOracle):
-            simulate.ctmc_at_time(
-                1, 1, kernels.Constant(1.0, 1), service.Deterministic(1.0), 1.0
-            )
+    def test_requires_phase_type_service(self):
+        plan = kernels.Constant(1.0, 1)
+        dist = simulate.ctmc_resolvent(1, 1, plan, service.Erlang(2, 2.0), 1.0)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+        for law in (service.Deterministic(1.0), service.Pareto(1.5, 1.0)):
+            with pytest.raises(UnsupportedOracle):
+                simulate.ctmc_resolvent(1, 1, plan, law, 1.0)
+            with pytest.raises(UnsupportedOracle):
+                simulate.ctmc_at_time(1, 1, plan, law, 1.0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_bad_input_rejected(self, value):
+        plan, law = kernels.Constant(1.0, 2), service.Exponential(1.0)
+        with pytest.raises(ValueError):
+            simulate.ctmc_resolvent(1, 2, plan, law, value)
+        if value != 0.0:
+            with pytest.raises(ValueError):
+                simulate.ctmc_at_time(1, 2, plan, law, value)
+
+    @pytest.mark.parametrize("law", PHASE_TYPE_LAWS, ids=PHASE_TYPE_IDS)
+    def test_phase_type_oracles_match_dense_chain(self, law):
+        for k, m in [(0, 0), (1, 0), (0, 1), (2, 3), (0, 6), (4, 2), (3, 9)]:
+            plan = kernels.Proportional(0.6, m)
+            Q, _, _ = dense_chain(k, m, plan, law)
+            assert np.max(np.abs(Q.sum(axis=1))) < 1e-14
+            for gamma in (0.3, 1.0, 2.7):
+                got = simulate.ctmc_resolvent(k, m, plan, law, gamma)
+                assert np.max(np.abs(got - dense_resolvent(k, m, plan, law, gamma))) <= 1e-14
+                assert got.sum() == pytest.approx(1.0, abs=1e-13)
+                assert got.min() >= -1e-15
+            for t in (0.5, 4.0, 12.0, 40.0):
+                got = simulate.ctmc_at_time(k, m, plan, law, t)
+                assert np.max(np.abs(got - dense_at_time(k, m, plan, law, t))) <= 1e-13
+                assert got.sum() == pytest.approx(1.0, abs=1e-13)
+                assert got.min() >= -1e-15
+
+    @pytest.mark.parametrize("law", PHASE_TYPE_LAWS[1:], ids=PHASE_TYPE_IDS[1:])
+    def test_phase_type_resolvent_matches_pmf_at_large_pool(self, law):
+        plan = kernels.Constant(0.9, 80)
+        marginal = simulate.ctmc_resolvent(20, 80, plan, law, 0.7).sum(axis=1)
+        exact = transient.pmf(20, 80, plan, law, 0.7)
+        assert np.max(np.abs(marginal - exact)) <= 1e-12
 
     def test_simulator_vs_resolvent(self):
         cfg = config(k=2, m=2, plan=kernels.Constant(0.9, 2), replications=1_000_000)
@@ -300,10 +382,8 @@ class TestCtmcOracles:
         ids=["constant", "proportional"],
     )
     def test_resolvent_large_pool(self, plan):
-        # 221 x 201 = 44 421 states, past the dense generator's cap
+        # 221 x 201 = 44 421 states, too many for a dense solve
         law = service.Exponential(1.1)
-        with pytest.raises(ValueError):
-            simulate._generator(20, 200, plan, law)
         dist = simulate.ctmc_resolvent(20, 200, plan, law, 0.3)
         exact = transient.pgf(20, 200, plan, law, 0.3).coeffs
         assert np.max(np.abs(dist.sum(axis=1) - exact)) <= 1e-12
