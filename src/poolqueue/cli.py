@@ -4,8 +4,11 @@ Subcommands cover the transform pipeline (pgf, pmf, moments, workload,
 waiting), time-domain inversion (at-time), the geometric-pool closed form
 (geometric), the Monte Carlo engine (simulate), and a cross-oracle check
 (validate).  Parameters come from a YAML config file, command-line flags,
-or both; flags win.  The effective configuration is echoed into every
-output so a table can be reproduced from the file alone.
+or both; flags win.  _PARAMS declares each parameter once, and a flag and
+a YAML value follow its rule alike: a list may be a YAML list or a comma
+string, a zero counts, and only an absent or null key takes the default.
+The effective configuration is echoed into every output so a table can
+be reproduced from the file alone.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure.
 """
@@ -15,7 +18,7 @@ import csv
 import io
 import json
 import sys
-from math import asin, erfc, expm1, inf, log1p, sqrt
+from math import asin, erfc, expm1, log1p, sqrt
 from statistics import NormalDist
 
 import numpy as np
@@ -86,89 +89,111 @@ def parse_plan(text, m):
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# parameters and config handling
 
-_SCHEMA = {
-    "model": {"k", "m", "plan", "service"},
-    "query": {"gamma", "z", "alpha", "t", "j", "orders", "p", "r", "lam", "mu"},
-    "execution": {"seed", "replications", "output", "format"},
+def _comma_list(item):
+    """Converter for a list given as a YAML list, one number, or a comma string."""
+    def convert(value):
+        items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+        return [item(x) for x in items]
+    return convert
+
+
+_FLOATS, _INTS = _comma_list(float), _comma_list(int)
+
+
+def _output_format(value):
+    if value not in ("csv", "json"):
+        raise UsageError(f"unknown output format {value!r}; use csv or json")
+    return value
+
+
+# Every parameter once: name -> (config block, converter, help).  The
+# converter runs when a value is read, so a flag and a YAML value follow the
+# same rule.  argparse also converts scalar flags, so a bad one fails before
+# any work; list flags stay raw strings, which keeps the echoed config
+# byte-identical to the input.
+_PARAMS = {
+    "k": ("model", int, "customers present at time zero"),
+    "m": ("model", int, "customers still to arrive"),
+    "plan": ("model", str, "rate plan: const:RATE, prop:RATE, or general:R1,R2,..."),
+    "service": ("model", str,
+                "service law: exp:R, erlang:C,R, hyperexp:W1,R1,..., det:D, pareto:I,S"),
+    "gamma": ("query", float, "killing rate of the Exp deadline"),
+    "z": ("query", _FLOATS, "comma-separated z values"),
+    "alpha": ("query", _FLOATS, "comma-separated alpha values of the LSTs"),
+    "t": ("query", _FLOATS, "comma-separated time points"),
+    "j": ("query", _INTS, "comma-separated customer indices (default all)"),
+    "orders": ("query", _INTS, "comma-separated moment orders"),
+    "p": ("query", float, "generating variable for the initial count"),
+    "r": ("query", float, "generating variable for the pool size"),
+    "lam": ("query", float, "arrival rate"),
+    "mu": ("query", float, "service rate"),
+    "seed": ("execution", int, "RNG seed"),
+    "replications": ("execution", int, "Monte Carlo replications"),
+    "output": ("execution", str, "write the table to this path instead of stdout"),
+    "format": ("execution", _output_format, "output format: csv (default) or json"),
 }
 
 
 def load_config(path):
-    """Read the YAML config file and reject unknown blocks or keys."""
+    """Read the YAML config file and reject unknown blocks or keys.  A null
+    value counts as absent, like an omitted flag."""
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must contain a mapping")
+    blocks = {block for block, _, _ in _PARAMS.values()}
     flat = {}
     for block, content in data.items():
-        if block not in _SCHEMA:
+        if block not in blocks:
             raise UsageError(f"unknown config block {block!r}")
         if content is None:
             continue
         if not isinstance(content, dict):
             raise UsageError(f"config block {block!r} must be a mapping")
         for key, value in content.items():
-            if key not in _SCHEMA[block]:
+            if _PARAMS.get(key, (None,))[0] != block:
                 raise UsageError(f"unknown key {key!r} in config block {block!r}")
-            flat[key] = value
+            if value is not None:
+                flat[key] = value
     return flat
 
 
-def _floats(text):
-    if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(x) for x in str(text).split(",")]
-
-
-def _ints(text):
-    if isinstance(text, (list, tuple)):
-        return [int(x) for x in text]
-    return [int(x) for x in str(text).split(",")]
-
-
 class Settings:
-    """Effective settings: config-file values overridden by flags."""
+    """Effective settings: config-file values overridden by flags, each
+    converted by its _PARAMS entry when read."""
 
     def __init__(self, args):
-        base = load_config(args.config) if args.config else {}
-        for key, value in vars(args).items():
-            if key in ("command", "config"):
-                continue
-            if value is not None:
-                base[key] = value
-        self._values = base
+        flags = {
+            key: value
+            for key, value in vars(args).items()
+            if key in _PARAMS and value is not None
+        }
+        self._values = {**(load_config(args.config) if args.config else {}), **flags}
 
     def get(self, key, default=None):
-        return self._values.get(key, default)
+        if key not in self._values:
+            return default
+        return _PARAMS[key][1](self._values[key])
 
     def require(self, key):
         if key not in self._values:
             raise UsageError(f"missing required parameter --{key}")
-        return self._values[key]
+        return self.get(key)
 
     def model(self):
-        k = int(self.require("k"))
-        m = int(self.require("m"))
-        law = parse_service(str(self.require("service")))
-        if m == 0 and "plan" not in self._values:
-            plan = kernels.Constant(1.0, 0)
-        else:
-            plan = parse_plan(str(self.require("plan")), m)
-        return k, m, plan, law
-
-    def killing_rate(self):
-        """The required --gamma, finite and nonnegative."""
-        gamma = float(self.require("gamma"))
-        if not 0 <= gamma < inf:
-            raise UsageError(f"--gamma must be finite and nonnegative, got {gamma}")
-        return gamma
+        k, m = self.require("k"), self.require("m")
+        law = parse_service(self.require("service"))
+        plan = self.get("plan", "const:1") if m == 0 else self.require("plan")
+        return k, m, parse_plan(plan, m), law
 
     def echo(self):
-        out = dict(self._values)
-        out.pop("output", None)
-        return {str(key): _scalar(value) for key, value in sorted(out.items())}
+        return {
+            key: _scalar(value)
+            for key, value in sorted(self._values.items())
+            if key != "output"
+        }
 
 
 def _scalar(value):
@@ -195,7 +220,7 @@ def _cell(value):
 
 
 def emit(settings, header, rows):
-    fmt = str(settings.get("format", "csv"))
+    fmt = settings.get("format", "csv")
     echoed = settings.echo()
     if fmt == "json":
         payload = {
@@ -204,7 +229,7 @@ def emit(settings, header, rows):
             "rows": [[_cell(v) for v in row] for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
+    else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for key, value in echoed.items():
@@ -213,8 +238,6 @@ def emit(settings, header, rows):
         for row in rows:
             writer.writerow([_cell(v) for v in row])
         text = buf.getvalue()
-    else:
-        raise UsageError(f"unknown output format {fmt!r}; use csv or json")
     out_path = settings.get("output")
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -226,36 +249,37 @@ def emit(settings, header, rows):
 # ---------------------------------------------------------------------------
 # subcommands
 
+_Z_GRID = [0.25, 0.5, 0.75, 1.0]
+
+
 def cmd_pgf(settings):
     k, m, plan, law = settings.model()
-    gamma = settings.killing_rate()
-    z_grid = _floats(settings.get("z", "0.25,0.5,0.75,1"))
-    poly = transient.pgf(k, m, plan, law, gamma)
+    z_grid = settings.get("z", _Z_GRID)
+    poly = transient.pgf(k, m, plan, law, settings.require("gamma"))
     rows = [(format_number(z), poly(z)) for z in z_grid]
     emit(settings, ["z", "pgf"], rows)
 
 
 def cmd_pmf(settings):
     k, m, plan, law = settings.model()
-    gamma = settings.killing_rate()
-    probs = transient.pmf(k, m, plan, law, gamma)
+    probs = transient.pmf(k, m, plan, law, settings.require("gamma"))
     rows = [(level, p) for level, p in enumerate(probs)]
     emit(settings, ["level", "probability"], rows)
 
 
 def cmd_moments(settings):
     k, m, plan, law = settings.model()
-    gamma = settings.killing_rate()
-    orders = _ints(settings.get("orders", "1,2"))
-    values = transient.factorial_moments(k, m, plan, law, gamma, max(orders))
+    orders = settings.get("orders", [1, 2])
+    values = transient.factorial_moments(
+        k, m, plan, law, settings.require("gamma"), max(orders)
+    )
     rows = [(order, values[order]) for order in orders]
     emit(settings, ["order", "factorial_moment"], rows)
 
 
 def cmd_workload(settings):
     k, m, plan, law = settings.model()
-    gamma = settings.killing_rate()
-    alphas = _floats(settings.require("alpha"))
+    gamma, alphas = settings.require("gamma"), settings.require("alpha")
     rows = [
         (format_number(a), transient.workload_lst(k, m, plan, law, gamma, a))
         for a in alphas
@@ -265,23 +289,22 @@ def cmd_workload(settings):
 
 def cmd_waiting(settings):
     k, m, plan, law = settings.model()
-    js = _ints(settings.get("j", ",".join(str(j) for j in range(1, k + m + 1))))
-    alphas = _floats(settings.get("alpha", "")) if settings.get("alpha") else []
+    js = settings.get("j", range(1, k + m + 1))
+    alphas = settings.get("alpha", [])
     rhos = waiting.emptiness_probs(k, m, plan, law)
     header = ["j", "mean"] + [f"lst_alpha_{format_number(a)}" for a in alphas]
     rows = []
     for j in js:
         row = [j, waiting.waiting_mean(j, k, m, plan, law, rhos=rhos)]
-        row += [waiting.waiting_lst(j, a, k, m, plan, law, rhos=rhos) for a in alphas]
+        row += [waiting.waiting_lst(j, a, k, m, plan, law) for a in alphas]
         rows.append(row)
     emit(settings, header, rows)
 
 
 def cmd_at_time(settings):
     k, m, plan, law = settings.model()
-    t_grid = _floats(settings.require("t"))
     rows = []
-    for t in t_grid:
+    for t in settings.require("t"):
         probs = inversion.pmf_at_time(k, m, plan, law, t)
         rows += [(format_number(t), level, p) for level, p in enumerate(probs)]
     emit(settings, ["t", "level", "probability"], rows)
@@ -289,40 +312,36 @@ def cmd_at_time(settings):
 
 def cmd_geometric(settings):
     params = geometric.GeometricPoolParams(
-        lam=float(settings.require("lam")),
-        mu=float(settings.require("mu")),
-        gamma=float(settings.require("gamma")),
+        lam=settings.require("lam"),
+        mu=settings.require("mu"),
+        gamma=settings.require("gamma"),
     )
-    p = float(settings.get("p", 0.0))
-    r = float(settings.require("r"))
-    z_grid = _floats(settings.get("z", "0.25,0.5,0.75,1"))
+    p = settings.get("p", 0.0)
+    r = settings.require("r")
     rows = [
         (
             format_number(z),
             geometric.m0(params, r, z),
             geometric.g(params, p, r, z),
         )
-        for z in z_grid
+        for z in settings.get("z", _Z_GRID)
     ]
     emit(settings, ["z", "m0", "g"], rows)
 
 
 def cmd_simulate(settings):
     k, m, plan, law = settings.model()
-    gamma = settings.get("gamma")
     config = simulate.SimConfig(
         k=k,
         m=m,
         plan=plan,
         law=law,
-        gamma=float(gamma) if gamma is not None else None,
-        times=tuple(_floats(settings.get("t", ""))) if settings.get("t") else (),
-        z_grid=tuple(_floats(settings.get("z", ""))) if settings.get("z") else (),
-        alpha_grid=tuple(_floats(settings.get("alpha", "")))
-        if settings.get("alpha")
-        else (),
-        replications=int(settings.get("replications", 100_000)),
-        seed=int(settings.get("seed", 0)),
+        gamma=settings.get("gamma"),
+        times=tuple(settings.get("t", ())),
+        z_grid=tuple(settings.get("z", ())),
+        alpha_grid=tuple(settings.get("alpha", ())),
+        replications=settings.get("replications", 100_000),
+        seed=settings.get("seed", 0),
     )
     report = simulate.simulate(config)
     rows = []
@@ -369,9 +388,9 @@ def cmd_validate(settings):
     """Cross-check the transform pipeline against the CTMC and Monte Carlo
     oracles for the supplied model; print a pass/fail table."""
     k, m, plan, law = settings.model()
-    gamma = float(settings.get("gamma", 1.0))
-    reps = int(settings.get("replications", 200_000))
-    seed = int(settings.get("seed", 0))
+    gamma = settings.get("gamma", 1.0)
+    reps = settings.get("replications", 200_000)
+    seed = settings.get("seed", 0)
     # Built first: its checks reject a bad gamma before any transform runs.
     config = simulate.SimConfig(
         k=k, m=m, plan=plan, law=law, gamma=gamma, replications=reps, seed=seed
@@ -412,78 +431,41 @@ def cmd_validate(settings):
     return 0 if all(ok for _, _, ok in checks) else 2
 
 
+_MODEL = ("k", "m", "plan", "service")
+
+# name -> (handler, help, parameters besides --config, --output and --format)
 _COMMANDS = {
-    "pgf": cmd_pgf,
-    "pmf": cmd_pmf,
-    "moments": cmd_moments,
-    "workload": cmd_workload,
-    "waiting": cmd_waiting,
-    "at-time": cmd_at_time,
-    "geometric": cmd_geometric,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
+    "pgf": (cmd_pgf, "queue-length PGF at the deadline on a z grid",
+            _MODEL + ("gamma", "z")),
+    "pmf": (cmd_pmf, "queue-length PMF at the deadline", _MODEL + ("gamma",)),
+    "moments": (cmd_moments, "factorial moments of the queue length at the deadline",
+                _MODEL + ("gamma", "orders")),
+    "workload": (cmd_workload, "workload LST at the deadline on an alpha grid",
+                 _MODEL + ("gamma", "alpha")),
+    "waiting": (cmd_waiting, "waiting-time means and transforms per customer",
+                _MODEL + ("j", "alpha")),
+    "at-time": (cmd_at_time, "queue-length PMF at fixed times, by numerical inversion",
+                _MODEL + ("t",)),
+    "geometric": (cmd_geometric,
+                  "closed-form generating functions for geometric initial conditions",
+                  ("lam", "mu", "gamma", "p", "r", "z")),
+    "simulate": (cmd_simulate, "Monte Carlo estimates with standard errors",
+                 _MODEL + ("gamma", "t", "z", "alpha", "replications", "seed")),
+    "validate": (cmd_validate, "cross-check transforms against CTMC and simulation oracles",
+                 _MODEL + ("gamma", "replications", "seed")),
 }
 
 
 def build_parser():
     parser = _Parser(prog="poolqueue", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name, help_text, flags):
-        p = sub.add_parser(name, help=help_text, parents=[], add_help=True)
+    for name, (_, help_text, params) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="YAML config file; flags override its values")
-        p.add_argument("--output", help="write the table to this path instead of stdout")
-        p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    model_flags = [
-        ("--k", {"type": int, "help": "customers present at time zero"}),
-        ("--m", {"type": int, "help": "customers still to arrive"}),
-        ("--plan", {"help": "rate plan: const:RATE, prop:RATE, or general:R1,R2,..."}),
-        ("--service", {"help": "service law: exp:R, erlang:C,R, hyperexp:W1,R1,..., det:D, pareto:I,S"}),
-    ]
-    gamma_flag = ("--gamma", {"type": float, "help": "killing rate of the Exp deadline"})
-
-    add("pgf", "queue-length PGF at the deadline on a z grid",
-        model_flags + [gamma_flag, ("--z", {"help": "comma-separated z values"})])
-    add("pmf", "queue-length PMF at the deadline", model_flags + [gamma_flag])
-    add("moments", "factorial moments of the queue length at the deadline",
-        model_flags + [gamma_flag, ("--orders", {"help": "comma-separated moment orders"})])
-    add("workload", "workload LST at the deadline on an alpha grid",
-        model_flags + [gamma_flag, ("--alpha", {"help": "comma-separated alpha values"})])
-    add("waiting", "waiting-time means and transforms per customer",
-        model_flags + [
-            ("--j", {"help": "comma-separated customer indices (default all)"}),
-            ("--alpha", {"help": "comma-separated alpha values for the LST columns"}),
-        ])
-    add("at-time", "queue-length PMF at fixed times, by numerical inversion",
-        model_flags + [("--t", {"help": "comma-separated time points"})])
-    add("geometric", "closed-form generating functions for geometric initial conditions",
-        [
-            ("--lam", {"type": float, "help": "arrival rate"}),
-            ("--mu", {"type": float, "help": "service rate"}),
-            gamma_flag,
-            ("--p", {"type": float, "help": "generating variable for the initial count"}),
-            ("--r", {"type": float, "help": "generating variable for the pool size"}),
-            ("--z", {"help": "comma-separated z values"}),
-        ])
-    add("simulate", "Monte Carlo estimates with standard errors",
-        model_flags + [
-            gamma_flag,
-            ("--t", {"help": "comma-separated fixed observation times"}),
-            ("--z", {"help": "comma-separated z values for E[z^Z]"}),
-            ("--alpha", {"help": "comma-separated alpha values for the workload LST"}),
-            ("--replications", {"type": int, "help": "number of replications"}),
-            ("--seed", {"type": int, "help": "RNG seed"}),
-        ])
-    add("validate", "cross-check transforms against CTMC and simulation oracles",
-        model_flags + [
-            gamma_flag,
-            ("--replications", {"type": int, "help": "Monte Carlo replications"}),
-            ("--seed", {"type": int, "help": "RNG seed"}),
-        ])
+        for key in ("output", "format") + params:
+            _, convert, flag_help = _PARAMS[key]
+            kwargs = {} if convert in (_FLOATS, _INTS) else {"type": convert}
+            p.add_argument(f"--{key}", help=flag_help, **kwargs)
     return parser
 
 
@@ -494,7 +476,7 @@ def run(argv=None):
         if args.command is None:
             raise UsageError("poolqueue: a subcommand is required (see --help)")
         settings = Settings(args)
-        result = _COMMANDS[args.command](settings)
+        result = _COMMANDS[args.command][0](settings)
         return int(result or 0)
     except UsageError as exc:
         print(exc, file=sys.stderr)

@@ -54,7 +54,7 @@ def _euler_nodes(t, nodes):
     return s, weights
 
 
-def invert(fhat, t, config=None):
+def invert(fhat, t):
     """Recover f(t) from gamma |-> fhat(gamma) where fhat(gamma)/gamma = L f.
 
     fhat is the deadline-expectation form E[f at an Exp(gamma) time]; its
@@ -68,9 +68,8 @@ def invert(fhat, t, config=None):
     ConvergenceWarning is emitted unless every component of it agrees with
     the CHECK_NODES estimate within tolerance (a NaN never agrees).
     """
-    if not t > 0:
-        raise DomainError("inversion requires t > 0")
-    config = config or InversionConfig()
+    if not 0 < t < np.inf:
+        raise DomainError(f"inversion requires 0 < t < inf, got t={t}")
     answer_nodes, answer_weights = _euler_nodes(t, ANSWER_NODES)
     check_nodes, check_weights = _euler_nodes(t, CHECK_NODES)
     s = np.concatenate((answer_nodes, check_nodes))
@@ -79,7 +78,7 @@ def invert(fhat, t, config=None):
     split = len(answer_nodes)
     estimate = np.real(transform[..., :split] @ answer_weights)
     gap = np.abs(estimate - np.real(transform[..., split:] @ check_weights))
-    if not np.all(gap <= config.cross_tolerance):
+    if not np.all(gap <= InversionConfig().cross_tolerance):
         warnings.warn(
             f"euler-{ANSWER_NODES} and euler-{CHECK_NODES} disagree at t={t}: "
             f"largest gap {np.max(gap)}",
@@ -88,16 +87,14 @@ def invert(fhat, t, config=None):
     return estimate if np.ndim(estimate) else float(estimate)
 
 
-def _inverted_pmf(k, m, plan, law, t, config):
+def _inverted_pmf(k, m, plan, law, t):
     """The PMF of Z(t), inverted coefficient by coefficient, not renormalized."""
     return invert(
-        lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0),
-        t,
-        config,
+        lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0), t
     )
 
 
-def pmf_at_time(k, m, plan, law, t, config=None):
+def pmf_at_time(k, m, plan, law, t):
     """P(Z(t) = l) for l = 0..k+m, by inverting each PGF coefficient.
 
     One table build and one sweep evaluate the PMF at every contour node.
@@ -111,7 +108,7 @@ def pmf_at_time(k, m, plan, law, t, config=None):
         out[k] = 1.0
         return out
 
-    raw = _inverted_pmf(k, m, plan, law, t, config)
+    raw = _inverted_pmf(k, m, plan, law, t)
     total = raw.sum()
     if abs(total - 1.0) > 1e-6:
         raise NormalizationError(
@@ -120,16 +117,16 @@ def pmf_at_time(k, m, plan, law, t, config=None):
     return raw / total
 
 
-def pgf_at_time(k, m, plan, law, z, t, config=None):
+def pgf_at_time(k, m, plan, law, z, t):
     """E[z^{Z(t)}] at real or complex z: the inverted PMF evaluated at z."""
     if t == 0:
         return z**k
-    probs = _inverted_pmf(k, m, plan, law, t, config)
+    probs = _inverted_pmf(k, m, plan, law, t)
     value = np.polynomial.polynomial.polyval(z, probs)
     return complex(value) if np.iscomplexobj(value) else float(value)
 
 
-def workload_lst_at_time(k, m, plan, law, alpha, t, config=None):
+def workload_lst_at_time(k, m, plan, law, alpha, t):
     """E[e^{-alpha W(t)}] at real alpha >= 0.
 
     The inversion keeps the real part of the transform only, which is the
@@ -139,8 +136,4 @@ def workload_lst_at_time(k, m, plan, law, alpha, t, config=None):
         raise DomainError("workload_lst_at_time requires a real alpha")
     if t == 0:
         return service.lst(law, alpha) ** k
-    return invert(
-        lambda gamma: transient.workload_lst(k, m, plan, law, gamma, alpha),
-        t,
-        config,
-    )
+    return invert(lambda gamma: transient.workload_lst(k, m, plan, law, gamma, alpha), t)

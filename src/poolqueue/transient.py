@@ -23,11 +23,11 @@ transform (waiting).
 """
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
 from . import kernels, service
+from .errors import DomainError
 
 __all__ = [
     "PgfPolynomial",
@@ -135,6 +135,14 @@ def sweep(k, m, plan, gamma, u_rows, v_rows):
     return joint, empty[..., 0, :]
 
 
+def _check_gamma(gamma):
+    """A real killing rate must be finite and nonnegative.  Complex node
+    arrays pass unchecked: an inversion contour may carry nodes that fail,
+    and each node's values are independent of the others."""
+    if np.isrealobj(gamma) and not np.all((0 <= gamma) & (gamma < np.inf)):
+        raise DomainError(f"gamma must be finite and nonnegative, got {gamma}")
+
+
 def pgf(k, m, plan, law, gamma):
     """PGF of the customer count at an independent Exp(gamma) deadline.
 
@@ -146,6 +154,7 @@ def pgf(k, m, plan, law, gamma):
     """
     if k < 0 or m < 0:
         raise ValueError("k and m must be nonnegative")
+    _check_gamma(gamma)
     tables = kernels.build_tables(plan, law, gamma)
     joint, _ = sweep(k, m, plan, gamma, tables.u, tables.v)
     return PgfPolynomial(coeffs=joint.sum(-1))
@@ -160,8 +169,9 @@ def joint_transform(k, m, plan, law, gamma, alpha):
     pgf().  The coefficients are real at real gamma and alpha.  gamma may
     be an array of killing rates, as in pgf(); alpha is a scalar.
     """
-    if not alpha.real >= 0:
-        raise ValueError("alpha must have nonnegative real part")
+    if not 0 <= alpha.real < np.inf:
+        raise DomainError(f"alpha must have finite nonnegative real part, got {alpha}")
+    _check_gamma(gamma)
     u, v = kernels.kernel_rows(plan, law, gamma, alpha, gamma)
     joint, _ = sweep(k, m, plan, gamma, u, v)
     coeffs = joint.sum(-1)
@@ -182,18 +192,15 @@ def pmf(k, m, plan, law, gamma):
 def factorial_moments(k, m, plan, law, gamma, max_order):
     """E[Z(Z-1)...(Z-l+1)] at the deadline, for l = 0..max_order.
 
-    Index l of the result is the l-th falling-factorial moment; the empty
-    product at l = 0 gives 1.
+    Index l of the last axis is the l-th falling-factorial moment; the
+    empty product at l = 0 gives 1.  gamma may be an array of killing
+    rates, as in pgf(), whose shape then leads.
     """
     probs = pmf(k, m, plan, law, gamma)
-    out = np.zeros(max_order + 1, dtype=probs.dtype)
-    out[0] = probs.sum()
-    for order in range(1, max_order + 1):
-        ff = np.array(
-            [
-                factorial(j) / factorial(j - order) if j >= order else 0.0
-                for j in range(len(probs))
-            ]
-        )
-        out[order] = probs @ ff
-    return out
+    # falling[j, l] = j (j - 1) ... (j - l + 1), zero for j < l
+    falling = np.ones((probs.shape[-1], max_order + 1))
+    falling[:, 1:] = np.cumprod(
+        np.subtract.outer(np.arange(probs.shape[-1]), np.arange(max_order, dtype=float)),
+        axis=1,
+    )
+    return probs @ falling

@@ -72,8 +72,8 @@ def waiting_lst(j, alpha, k, m, plan, law, rhos=None):
     """
     if not 1 <= j <= k + m:
         raise DomainError("customer index out of range")
-    if not alpha.real >= 0:
-        raise DomainError("alpha must have nonnegative real part")
+    if not 0 <= alpha.real < np.inf:
+        raise DomainError(f"alpha must have finite nonnegative real part, got {alpha}")
     value = _waiting_lsts(alpha, k, m, plan, law)[j - 1]
     if np.imag(alpha) == 0:
         return float(np.real(value))

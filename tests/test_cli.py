@@ -257,15 +257,54 @@ class TestConfigHandling:
         echoed, _, first_rows = parse_csv(first)
         blocks = {"model": {}, "query": {}, "execution": {}}
         for key, value in echoed.items():
-            for block, keys in cli._SCHEMA.items():
-                if key in keys:
-                    blocks[block][key] = value
+            blocks[cli._PARAMS[key][0]][key] = value
         path = tmp_path / "echo.yaml"
         path.write_text(yaml.safe_dump(blocks))
         code, second, _ = run(["pgf", "--config", str(path)], capsys)
         assert code == 0
         _, _, second_rows = parse_csv(second)
         assert first_rows == second_rows
+
+
+    def test_zero_grids_from_yaml_take_effect(self, tmp_path, capsys):
+        # a YAML zero is a value, not an absent grid
+        path = tmp_path / "zeros.yaml"
+        path.write_text(
+            yaml.safe_dump(
+                {
+                    "model": {"k": 1, "m": 2, "plan": "const:1", "service": "exp:1"},
+                    "query": {"gamma": 1.0, "alpha": 0, "t": 0, "z": 0},
+                    "execution": {"replications": 1000, "seed": 1},
+                }
+            )
+        )
+        code, out, _ = run(["waiting", "--config", str(path)], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["j", "mean", "lst_alpha_0"]
+        assert all(float(row[2]) == 1.0 for row in rows)
+        code, out, _ = run(["simulate", "--config", str(path)], capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        keys = {(row[0], row[1]) for row in rows}
+        assert {("time_pmf", "0|1"), ("pgf", "0"), ("workload_lst", "0")} <= keys
+
+    def test_yaml_list_and_comma_string_agree(self, tmp_path, capsys):
+        outputs = []
+        for z in ([0.3, 0.8], "0.3,0.8"):
+            path = tmp_path / "grid.yaml"
+            path.write_text(
+                yaml.safe_dump(
+                    {
+                        "model": {"k": 1, "m": 1, "plan": "const:1", "service": "exp:1"},
+                        "query": {"gamma": 1.0, "z": z},
+                    }
+                )
+            )
+            code, out, _ = run(["pgf", "--config", str(path)], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 class TestErrors:
@@ -327,7 +366,35 @@ class TestErrors:
         assert "excluded" in err
 
 
+# Every subcommand's options, as the parser offered them before the
+# parameter table replaced the hand-written flag lists.
+MODEL_FLAGS = ["--k", "--m", "--plan", "--service"]
+COMMON_FLAGS = ["-h", "--help", "--config", "--output", "--format"]
+OPTION_STRINGS = {
+    "pgf": MODEL_FLAGS + ["--gamma", "--z"],
+    "pmf": MODEL_FLAGS + ["--gamma"],
+    "moments": MODEL_FLAGS + ["--gamma", "--orders"],
+    "workload": MODEL_FLAGS + ["--gamma", "--alpha"],
+    "waiting": MODEL_FLAGS + ["--j", "--alpha"],
+    "at-time": MODEL_FLAGS + ["--t"],
+    "geometric": ["--lam", "--mu", "--gamma", "--p", "--r", "--z"],
+    "simulate": MODEL_FLAGS + ["--gamma", "--t", "--z", "--alpha", "--replications", "--seed"],
+    "validate": MODEL_FLAGS + ["--gamma", "--replications", "--seed"],
+}
+
+
 class TestHelp:
+    def test_option_strings_pinned(self):
+        parser = cli.build_parser()
+        subparsers = next(
+            action for action in parser._actions if action.dest == "command"
+        ).choices
+        assert sorted(subparsers) == sorted(OPTION_STRINGS)
+        for command, flags in OPTION_STRINGS.items():
+            got = [s for action in subparsers[command]._actions for s in action.option_strings]
+            assert sorted(got) == sorted(COMMON_FLAGS + flags), command
+
+
     @pytest.mark.parametrize(
         "command,flags",
         [

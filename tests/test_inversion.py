@@ -93,9 +93,14 @@ class TestInvert:
             assert value == pytest.approx(original(1.3), abs=1e-8)
 
     def test_requires_positive_time(self):
-        for t in (0.0, float("nan")):
+        for t in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 inversion.invert(lambda g: 1.0, t)
+        plan, law = kernels.Constant(1.0, 3), service.Erlang(2, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            with pytest.raises(DomainError):
+                inversion.pmf_at_time(1, 3, plan, law, float("inf"))
 
     def test_fhat_called_once_with_every_node(self):
         shapes = []

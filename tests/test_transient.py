@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poolqueue import inversion, kernels, service, simulate, transient
-from poolqueue.errors import UnsupportedTransform
+from poolqueue.errors import DomainError, UnsupportedTransform
 
 LAWS = [
     service.Exponential(1.3),
@@ -185,12 +185,23 @@ class TestJointTransform:
         )
         assert joint(1.0) == pytest.approx(0.75, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan"), float("inf")])
     def test_bad_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError):
-            transient.joint_transform(
-                1, 2, kernels.Constant(1.0, 2), service.Exponential(1.0), 1.0, alpha
-            )
+        plan, law = kernels.Constant(1.0, 2), service.Exponential(1.0)
+        with pytest.raises(DomainError):
+            transient.joint_transform(1, 2, plan, law, 1.0, alpha)
+        with pytest.raises(DomainError):
+            transient.workload_lst(1, 2, plan, law, 1.0, alpha)
+
+    @pytest.mark.parametrize(
+        "gamma", [-1.0, float("nan"), float("inf"), np.array([0.5, -1.0])]
+    )
+    def test_bad_real_gamma_rejected(self, gamma):
+        plan, law = kernels.Constant(1.0, 3), service.Erlang(2, 2.0)
+        with pytest.raises(DomainError):
+            transient.pmf(1, 3, plan, law, gamma)
+        with pytest.raises(DomainError):
+            transient.joint_transform(1, 3, plan, law, gamma, 0.5)
 
     def test_value_at_one_alpha_zero_is_one(self):
         law = service.Erlang(3, 2.5)
@@ -275,6 +286,16 @@ class TestPmfAndMoments:
             for step in range(order):
                 falling *= np.maximum(levels - step, 0)
             assert got == pytest.approx(float(falling @ probs), abs=1e-12)
+
+    def test_moments_on_a_gamma_array(self):
+        law = service.Erlang(2, 2.0)
+        plan = kernels.Proportional(0.6, 3)
+        gammas = np.array([0.0, 0.3, 0.9, 2.5])
+        moments = transient.factorial_moments(2, 3, plan, law, gammas, 4)
+        assert moments.shape == (len(gammas), 5)
+        for row, gamma in zip(moments, gammas):
+            scalar = transient.factorial_moments(2, 3, plan, law, gamma, 4)
+            np.testing.assert_allclose(row, scalar, rtol=1e-14, atol=0)
 
 
 class TestComplexGamma:

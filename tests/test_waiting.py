@@ -142,10 +142,11 @@ class TestWaitingLst:
             waiting.waiting_lst(4, 1.0, 1, 2, kernels.Constant(1.0, 2), service.Exponential(1.0))
 
     def test_nan_alpha_rejected(self):
-        with pytest.raises(DomainError):
-            waiting.waiting_lst(
-                2, float("nan"), 1, 2, kernels.Constant(1.0, 2), service.Exponential(1.0)
-            )
+        for alpha in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(DomainError):
+                waiting.waiting_lst(
+                    2, alpha, 1, 2, kernels.Constant(1.0, 2), service.Exponential(1.0)
+                )
 
 
 class TestWaitingMean:
