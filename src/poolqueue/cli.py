@@ -7,8 +7,9 @@ waiting), time-domain inversion (at-time), the geometric-pool closed form
 or both; flags win.  _PARAMS declares each parameter once, and a flag and
 a YAML value follow its rule alike: a list may be a YAML list or a comma
 string, a zero counts, and only an absent or null key takes the default.
-The effective configuration is echoed into every output so a table can
-be reproduced from the file alone.
+The subcommand's effective configuration is echoed into every output so a
+table can be reproduced from the file alone; a config key it does not read
+is named on stderr and left out.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure.
 """
@@ -109,10 +110,10 @@ def _output_format(value):
 
 
 # Every parameter once: name -> (config block, converter, help).  The
-# converter runs when a value is read, so a flag and a YAML value follow the
-# same rule.  argparse also converts scalar flags, so a bad one fails before
-# any work; list flags stay raw strings, which keeps the echoed config
-# byte-identical to the input.
+# converter runs when the settings are built, before any work, so a flag and
+# a YAML value follow the same rule.  argparse also converts scalar flags;
+# list flags stay raw strings, which keeps the echoed config byte-identical
+# to the input.
 _PARAMS = {
     "k": ("model", int, "customers present at time zero"),
     "m": ("model", int, "customers still to arrive"),
@@ -161,21 +162,26 @@ def load_config(path):
 
 
 class Settings:
-    """Effective settings: config-file values overridden by flags, each
-    converted by its _PARAMS entry when read."""
+    """Effective settings of one subcommand: config-file values overridden
+    by flags, each converted by its _PARAMS entry once, when built, so a bad
+    value fails before any work.  A config key the subcommand does not read
+    is dropped with one note on stderr."""
 
     def __init__(self, args):
-        flags = {
-            key: value
-            for key, value in vars(args).items()
+        used = ("output", "format") + _COMMANDS[args.command][2]
+        values = load_config(args.config) if args.config else {}
+        for key in sorted(set(values) - set(used)):
+            print(f"poolqueue {args.command}: ignoring config key {key!r}, "
+                  "which this subcommand does not read", file=sys.stderr)
+        values.update(
+            (key, value) for key, value in vars(args).items()
             if key in _PARAMS and value is not None
-        }
-        self._values = {**(load_config(args.config) if args.config else {}), **flags}
+        )
+        self._raw = {key: values[key] for key in used if key in values}
+        self._values = {key: _PARAMS[key][1](value) for key, value in self._raw.items()}
 
     def get(self, key, default=None):
-        if key not in self._values:
-            return default
-        return _PARAMS[key][1](self._values[key])
+        return self._values.get(key, default)
 
     def require(self, key):
         if key not in self._values:
@@ -191,7 +197,7 @@ class Settings:
     def echo(self):
         return {
             key: _scalar(value)
-            for key, value in sorted(self._values.items())
+            for key, value in sorted(self._raw.items())
             if key != "output"
         }
 

@@ -1,9 +1,12 @@
 """Independent oracles: Monte Carlo simulation and exact CTMC computations.
 
-The Monte Carlo path replays the model directly -- draw the interarrival
-chain and all service times, run the FIFO single-server recursion over
-cache-sized blocks of replications -- and therefore shares no code with the
-transform pipeline it validates.  Level probabilities are estimated from
+The Monte Carlo path replays the model directly, and therefore shares no
+code with the transform pipeline it validates.  Each chunk of _CHUNK
+replications draws the interarrival chain, all service times and the kill
+times from its own substream; the FIFO single-server recursion and every
+estimator then run over one cache-sized block of replications at a time,
+on customer-major copies, so memory is one chunk's draws and a few blocks.
+The blocking changes no draw.  Level probabilities are estimated from
 per-level hit counts.  For phase-type service (alpha, S) the model is a
 finite continuous-time Markov chain on (customers present, customers yet
 to arrive, service phase), held as an array x[ell, n, phase] in which the
@@ -15,7 +18,7 @@ substitution, column by column; at a fixed time, by uniformization.
 """
 
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .errors import UnsupportedOracle, UnsupportedTransform
 __all__ = ["SimConfig", "SimReport", "simulate", "ctmc_resolvent", "ctmc_at_time"]
 
 _CHUNK = 200_000  # replications per Philox substream
-_BLOCK = 2048  # rows per pass of the FIFO recursion, sized to stay in cache
+_BLOCK = 2048  # replications per block of the recursion and the estimators
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,16 @@ class SimConfig:
             raise ValueError("k and m must be nonnegative")
         if self.gamma is not None and not 0 < self.gamma < inf:
             raise ValueError("gamma must be positive and finite, or None")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if any(not t >= 0 for t in self.times):
             raise ValueError("times must be nonnegative")
+        if any(not isfinite(z) for z in self.z_grid):
+            raise ValueError("z values must be finite")
+        if any(not 0 <= a < inf for a in self.alpha_grid):
+            raise ValueError("alpha values must be nonnegative and finite")
+        if self.gamma is None and (self.z_grid or self.alpha_grid):
+            raise ValueError("pgf and workload estimates need a deadline rate gamma")
         for j, t in self.tail_points:
             if not 1 <= j <= self.k + self.m or not t >= 0:
                 raise ValueError(f"tail point {(j, t)} needs 1 <= j <= k+m and t >= 0")
@@ -73,33 +84,6 @@ class SimReport:
     waiting_tail: dict = field(default_factory=dict)  # (j, t) -> Estimate
 
 
-class _Acc:
-    """Streaming mean/variance accumulator (deterministic reduction order)."""
-
-    def __init__(self, dim):
-        self.n = 0
-        self.s = np.zeros(dim)
-        self.s2 = np.zeros(dim)
-
-    def add(self, block):
-        self.n += block.shape[0]
-        self.s += block.sum(axis=0)
-        self.s2 += (block * block).sum(axis=0)
-
-    def add_counts(self, counts, n):
-        """Add n indicator rows given only their column sums; an indicator
-        squared is itself, so both sums are the counts."""
-        self.n += n
-        self.s += counts
-        self.s2 += counts
-
-    def estimates(self):
-        mean = self.s / self.n
-        var = np.maximum(self.s2 / self.n - mean**2, 0.0)
-        se = np.sqrt(var / self.n)
-        return [Estimate(float(mu), float(e)) for mu, e in zip(mean, se)]
-
-
 def _chunk_rng(seed, chunk_index):
     # Counter-based substreams: one disjoint Philox block per chunk, so the
     # aggregate is independent of execution order.
@@ -108,103 +92,135 @@ def _chunk_rng(seed, chunk_index):
     return np.random.Generator(bits)
 
 
-def _replay(config, rng, n_rep):
-    """One vectorized batch of FIFO sample paths.
+def _draw(config, rng, n_rep):
+    """One chunk's interarrival chain and service times, replication-major.
 
-    Returns (arrival, start, depart) arrays of shape (n_rep, k+m); the
-    first k columns are the customers already present at time zero.  The
-    recursion start_j = max(arrival_j, depart_{j-1}) runs column by column
-    within blocks of _BLOCK rows, so each block's columns stay in cache; the
-    draws do not depend on the blocking.
+    Returns arrivals, shape (n_rep, m), the arrival times of customers
+    k+1..k+m (the k initial ones arrive at zero and are not stored), and
+    services, shape (n_rep, k+m).  The gaps are standard exponentials
+    scaled in place by 1/lambda, which is what rng.exponential draws, and
+    the kill times, if any, are the stream's next draws.
     """
-    k, m = config.k, config.m
-    total = k + m
-    arrivals = np.zeros((n_rep, total))
-    if m:
-        rates = kernels.plan_rates(config.plan)  # lambda_1..lambda_m
-        gaps = rng.exponential(1.0 / rates[::-1], size=(n_rep, m))
-        np.cumsum(gaps, axis=1, out=arrivals[:, k:])
-        del gaps
-    services = service.sample(config.law, rng, size=(n_rep, total))
-    start = np.empty((n_rep, total))
-    depart = np.empty((n_rep, total))
-    for lo in range(0, n_rep, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        arr, srv, st, dep = arrivals[rows], services[rows], start[rows], depart[rows]
-        prev_depart = np.zeros(arr.shape[0])
-        for j in range(total):
-            np.maximum(arr[:, j], prev_depart, out=st[:, j])
-            np.add(st[:, j], srv[:, j], out=dep[:, j])
-            prev_depart = dep[:, j]
-    return arrivals, start, depart
+    arrivals = rng.standard_exponential(size=(n_rep, config.m))
+    if config.m:
+        arrivals *= 1.0 / kernels.plan_rates(config.plan)[::-1]
+        np.cumsum(arrivals, axis=1, out=arrivals)
+    services = service.sample(config.law, rng, size=(n_rep, config.k + config.m))
+    return arrivals, services
 
 
-def _count_at(arrivals, depart, t):
-    """Z(t) per replication; t is a column vector or scalar.
+def _fifo(k, arrivals, services):
+    """Start and departure times of a block of replications, customer-major.
 
-    The k initial customers occupy the first k columns with arrival time
-    zero, so counting arrivals covers them."""
-    arrived = (arrivals <= t).sum(axis=1)
-    departed = (depart <= t).sum(axis=1)
-    return arrived - departed
+    arrivals (m, b) and services (k+m, b) hold one customer per row; the
+    returned start and depart are new C-ordered (k+m, b) arrays.  The
+    recursion start_j = max(arrival_j, depart_{j-1}) steps row by row, and
+    an initial customer (j <= k, arrival zero) starts at depart_{j-1}.
+    """
+    depart = services.copy(order="C")
+    start = np.empty_like(depart)
+    prev = np.zeros(depart.shape[1])
+    for j in range(depart.shape[0]):
+        if j < k:
+            start[j] = prev
+        else:
+            np.maximum(arrivals[j - k], prev, out=start[j])
+        depart[j] += start[j]
+        prev = depart[j]
+    return start, depart
 
 
-def _workload_at(arrivals, start, depart, t):
-    services = depart - start
-    present = (arrivals <= t) * services
-    busy = np.clip(np.minimum(depart, t) - np.minimum(start, t), 0.0, None)
-    return present.sum(axis=1) - busy.sum(axis=1)
+class _Tally:
+    """Running sums of every estimator, fed one customer-major block at a
+    time.  Level, tail and kill counts are exact integers; the waiting and
+    workload sums add each block's pairwise row sums."""
+
+    def __init__(self, config):
+        self.config = config
+        total = config.k + config.m
+        self.n = 0
+        self.kill = np.zeros(total + 1, dtype=np.int64)
+        self.times = {t: np.zeros(total + 1, dtype=np.int64) for t in config.times}
+        self.tail = dict.fromkeys(config.tail_points, 0)
+        self.wait = np.zeros((2, total))  # sums of W_j and W_j^2
+        self.work = {a: np.zeros(2) for a in config.alpha_grid}
+
+    def _levels(self, arrivals, depart, t):
+        """Customers arrived by t (the k initial ones included) and Z(t)."""
+        arrived = self.config.k + (arrivals <= t).sum(axis=0)
+        return arrived, arrived - (depart <= t).sum(axis=0)
+
+    def add(self, arrivals, start, depart, kill):
+        """Score one block; start is overwritten with the waiting times."""
+        k, levels = self.config.k, len(self.kill)
+        self.n += depart.shape[1]
+        start[k:] -= arrivals
+        self.wait[0] += start.sum(axis=1)
+        self.wait[1] += (start * start).sum(axis=1)
+        for j, t in self.tail:
+            self.tail[j, t] += int(np.count_nonzero(start[j - 1] > t))
+        for t, counts in self.times.items():
+            counts += np.bincount(self._levels(arrivals, depart, t)[1], minlength=levels)
+        if kill is None:
+            return
+        arrived, present = self._levels(arrivals, depart, kill)
+        self.kill += np.bincount(present, minlength=levels)
+        if self.work:
+            # FIFO: the work left at T is the last arrival's departure
+            # time past T, or zero once it has left or before anyone came.
+            work = np.zeros(len(kill))
+            seen = np.flatnonzero(arrived)
+            last = depart[arrived[seen] - 1, seen]
+            work[seen] = np.maximum(last - kill[seen], 0.0)
+            for a, sums in self.work.items():
+                draws = np.exp(-float(a) * work)
+                sums += draws.sum(), (draws * draws).sum()
+
+    def report(self):
+        n, config = self.n, self.config
+        report = SimReport(config=config)
+        if config.gamma is not None:
+            report.kill_pmf = _estimates(n, self.kill, self.kill)
+        for z in config.z_grid:
+            # E[z^Z(T)] is a projection of the level counts at T
+            powers = float(z) ** np.arange(len(self.kill))
+            sums = (self.kill * powers).sum(), (self.kill * powers**2).sum()
+            report.pgf_values[z] = _estimates(n, *sums)[0]
+        report.time_pmf = {t: _estimates(n, c, c) for t, c in self.times.items()}
+        report.workload_lst = {a: _estimates(n, *s)[0] for a, s in self.work.items()}
+        report.waiting_means = _estimates(n, *self.wait)
+        report.waiting_tail = {jt: _estimates(n, c, c)[0] for jt, c in self.tail.items()}
+        return report
+
+
+def _estimates(n, sums, squares):
+    """Sample means and their standard errors from n draws' sums and sums
+    of squares (an indicator squared is itself, so counts are both)."""
+    mean = np.atleast_1d(sums) / n
+    var = np.maximum(np.atleast_1d(squares) / n - mean**2, 0.0)
+    se = np.sqrt(var / n)
+    return [Estimate(float(mu), float(e)) for mu, e in zip(mean, se)]
 
 
 def simulate(config):
-    """Run the Monte Carlo study described by config and collect estimates."""
-    k, m = config.k, config.m
-    total = k + m
-    levels = total + 1
-    acc_kill = _Acc(levels) if config.gamma is not None else None
-    acc_time = {t: _Acc(levels) for t in config.times}
-    acc_pgf = {z: _Acc(1) for z in config.z_grid}
-    acc_work = {a: _Acc(1) for a in config.alpha_grid}
-    acc_wait = _Acc(total) if total else None
-    acc_tail = {jt: _Acc(1) for jt in config.tail_points}
+    """Run the Monte Carlo study described by config and collect estimates.
 
-    remaining = config.replications
-    chunk_index = 0
-    while remaining > 0:
-        n_rep = min(_CHUNK, remaining)
-        rng = _chunk_rng(config.seed, chunk_index)
-        arrivals, start, depart = _replay(config, rng, n_rep)
-        if total:
-            acc_wait.add(start - arrivals)
-        for (j, t), acc in acc_tail.items():
-            w = start[:, j - 1] - arrivals[:, j - 1]
-            acc.add_counts(np.count_nonzero(w > t), n_rep)
-        if config.gamma is not None:
-            kill = rng.exponential(1.0 / config.gamma, size=n_rep)[:, None]
-            z_at_kill = _count_at(arrivals, depart, kill)
-            acc_kill.add_counts(np.bincount(z_at_kill, minlength=levels), n_rep)
-            for z, acc in acc_pgf.items():
-                acc.add((float(z) ** z_at_kill)[:, None])
-            if acc_work:
-                wl = _workload_at(arrivals, start, depart, kill)
-                for a, acc in acc_work.items():
-                    acc.add(np.exp(-float(a) * wl)[:, None])
-        for t, acc in acc_time.items():
-            z_at_t = _count_at(arrivals, depart, float(t))
-            acc.add_counts(np.bincount(z_at_t, minlength=levels), n_rep)
-        remaining -= n_rep
-        chunk_index += 1
-
-    report = SimReport(config=config)
-    if acc_kill is not None:
-        report.kill_pmf = acc_kill.estimates()
-    report.time_pmf = {t: acc.estimates() for t, acc in acc_time.items()}
-    report.pgf_values = {z: acc.estimates()[0] for z, acc in acc_pgf.items()}
-    report.workload_lst = {a: acc.estimates()[0] for a, acc in acc_work.items()}
-    if acc_wait is not None:
-        report.waiting_means = acc_wait.estimates()
-    report.waiting_tail = {jt: acc.estimates()[0] for jt, acc in acc_tail.items()}
-    return report
+    No array of a whole chunk's start, departure or waiting times is
+    formed: each block is replayed and scored while it is in cache.
+    """
+    tally = _Tally(config)
+    for index, first in enumerate(range(0, config.replications, _CHUNK)):
+        n_rep = min(_CHUNK, config.replications - first)
+        rng = _chunk_rng(config.seed, index)
+        arrivals, services = _draw(config, rng, n_rep)
+        kill = None if config.gamma is None else rng.exponential(1.0 / config.gamma, size=n_rep)
+        for lo in range(0, n_rep, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            arr = arrivals[rows].T.copy()
+            start, depart = _fifo(config.k, arr, services[rows].T)
+            tally.add(arr, start, depart, None if kill is None else kill[rows])
+        del arrivals, services, kill  # before the next chunk draws
+    return tally.report()
 
 
 def _phases(law):

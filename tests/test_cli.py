@@ -86,6 +86,20 @@ class TestSubcommands:
         assert "pass" in out
         assert "fail" not in out
 
+    def test_validate_deterministic_initial_waits(self, capsys):
+        # initial customer j waits exactly (j - 1) 0.8; the Monte Carlo mean
+        # must not drift off it by more than the noise of its standard error
+        code, out, _ = run(
+            ["validate", "--k", "6", "--m", "12", "--plan", "const:0.9",
+             "--service", "det:0.8", "--gamma", "1", "--replications", "200000",
+             "--seed", "4"],
+            capsys,
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        statuses = {row[0]: row[2] for row in rows}
+        assert statuses["waiting_means_vs_monte_carlo_4se"] == "pass"
+
     def test_validate_pmf_deviate(self):
         n = 200_000
         # No hit on a level of probability 1e-8 is no evidence against it.
@@ -288,6 +302,48 @@ class TestConfigHandling:
         _, _, rows = parse_csv(out)
         keys = {(row[0], row[1]) for row in rows}
         assert {("time_pmf", "0|1"), ("pgf", "0"), ("workload_lst", "0")} <= keys
+
+    def test_echo_lists_only_keys_the_subcommand_reads(self, tmp_path, capsys):
+        path = tmp_path / "shared.yaml"
+        path.write_text(
+            yaml.safe_dump(
+                {
+                    "model": {"k": 1, "m": 2, "plan": "const:1", "service": "exp:1"},
+                    "query": {"gamma": 1, "t": [1, 2], "z": 0.5, "alpha": 0.5},
+                    "execution": {"seed": 3, "format": "csv"},
+                }
+            )
+        )
+        code, out, err = run(["waiting", "--config", str(path)], capsys)
+        assert code == 0
+        echoed, header, _ = parse_csv(out)
+        assert sorted(echoed) == ["alpha", "format", "k", "m", "plan", "service"]
+        assert header == ["j", "mean", "lst_alpha_0.5"]
+        lines = err.splitlines()
+        assert len(lines) == 4
+        for key, line in zip(["gamma", "seed", "t", "z"], lines):
+            assert f"'{key}'" in line and "waiting" in line
+
+    def test_bad_config_value_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the settings were checked")
+
+        monkeypatch.setattr(cli.transient, "pmf", no_work)
+        monkeypatch.setattr(cli.simulate, "simulate", no_work)
+        model = {"k": 1, "m": 2, "plan": "const:1", "service": "exp:1"}
+        for execution in ({"format": "xml"}, {"seed": "x"}):
+            path = tmp_path / "bad.yaml"
+            path.write_text(yaml.safe_dump({"model": model, "execution": execution}))
+            code, out, err = run(["validate", "--config", str(path)], capsys)
+            assert code == 1
+            assert out == ""
+            assert "xml" in err or "'x'" in err
+        # a bad value of a key the subcommand does not read is only noted
+        path.write_text(yaml.safe_dump({"model": model, "query": {"gamma": 1, "z": "bad"}}))
+        monkeypatch.undo()
+        code, _, err = run(["pmf", "--config", str(path)], capsys)
+        assert code == 0
+        assert "'z'" in err
 
     def test_yaml_list_and_comma_string_agree(self, tmp_path, capsys):
         outputs = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,62 @@ def reference_replay(config, rng, n_rep):
         prev_depart = start[:, j] + services[:, j]
         depart[:, j] = prev_depart
     return arrivals, start, depart
+
+
+def replay(config, rng, n_rep):
+    """(arrival, start, depart), replication-major, from _draw and _fifo."""
+    arrivals, services = simulate._draw(config, rng, n_rep)
+    start, depart = simulate._fifo(config.k, arrivals.T, services.T)
+    return np.hstack([np.zeros((n_rep, config.k)), arrivals]), start.T, depart.T
+
+
+def reference_simulate(config, chunk):
+    """Every estimate from whole-chunk arrays, one value per replication:
+    levels counted over all customers, the workload as the work present less
+    the work done, and the means summed exactly."""
+    k, m, gamma = config.k, config.m, config.gamma
+    levels = np.arange(k + m + 1)
+    draws = {}
+    for index, first in enumerate(range(0, config.replications, chunk)):
+        n_rep = min(chunk, config.replications - first)
+        rng = simulate._chunk_rng(config.seed, index)
+        arrivals, start, depart = reference_replay(config, rng, n_rep)
+        kill = rng.exponential(1.0 / gamma, size=n_rep)[:, None]
+        at = {t: (arrivals <= t).sum(axis=1) - (depart <= t).sum(axis=1) for t in config.times}
+        z_kill = (arrivals <= kill).sum(axis=1) - (depart <= kill).sum(axis=1)
+        present = ((arrivals <= kill) * (depart - start)).sum(axis=1)
+        busy = np.clip(np.minimum(depart, kill) - np.minimum(start, kill), 0.0, None)
+        values = {
+            "kill": (z_kill[:, None] == levels).astype(float),
+            "work": present - busy.sum(axis=1),
+            "z_kill": z_kill,
+            "wait": start - arrivals,
+        }
+        values.update({("time", t): (z[:, None] == levels).astype(float) for t, z in at.items()})
+        for key, value in values.items():
+            draws.setdefault(key, []).append(value)
+    draws = {key: np.concatenate(value) for key, value in draws.items()}
+    n = config.replications
+
+    def estimates(x):
+        x = x.reshape(n, -1)
+        mean = np.array([math.fsum(col) for col in x.T]) / n
+        var = np.maximum((x * x).sum(axis=0) / n - mean**2, 0.0)
+        return [simulate.Estimate(float(mu), float(se)) for mu, se in zip(mean, np.sqrt(var / n))]
+
+    wait = draws["wait"]
+    return simulate.SimReport(
+        config=config,
+        kill_pmf=estimates(draws["kill"]),
+        time_pmf={t: estimates(draws["time", t]) for t in config.times},
+        pgf_values={z: estimates(float(z) ** draws["z_kill"])[0] for z in config.z_grid},
+        workload_lst={a: estimates(np.exp(-a * draws["work"]))[0] for a in config.alpha_grid},
+        waiting_means=estimates(wait),
+        waiting_tail={
+            (j, t): estimates((wait[:, j - 1] > t).astype(float))[0]
+            for j, t in config.tail_points
+        },
+    )
 
 
 def dense_chain(k, m, plan, law):
@@ -215,26 +272,97 @@ class TestSimulate:
         for point in ((0, 0.5), (3, 0.5), (-1, 0.5), (1, -0.1)):
             with pytest.raises(ValueError):
                 config(tail_points=(point,))
+        for alpha in (float("nan"), float("inf"), -50.0):
+            with pytest.raises(ValueError):
+                config(alpha_grid=(0.5, alpha))
+        for z in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                config(z_grid=(0.5, z))
+        with pytest.raises(ValueError):
+            config(seed=-1)
+        # pgf and workload estimates are taken at the deadline
+        for grids in ({"z_grid": (0.5,)}, {"alpha_grid": (0.5,)}):
+            with pytest.raises(ValueError):
+                config(gamma=None, **grids)
         config(gamma=None, times=(0.0,), tail_points=((1, 0.0), (2, 1.0)))
+        config(z_grid=(-2.0, 0.0, 3.0), alpha_grid=(0.0, 2.5), seed=0)
 
     @pytest.mark.parametrize("n_rep", [1, 2047, 2049, 5000])
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
     def test_replay_matches_column_loop(self, law, n_rep):
         cfg = config(k=3, m=5, plan=kernels.Proportional(0.4, 5), law=law)
-        got = simulate._replay(cfg, simulate._chunk_rng(11, 0), n_rep)
+        got = replay(cfg, simulate._chunk_rng(11, 0), n_rep)
         want = reference_replay(cfg, simulate._chunk_rng(11, 0), n_rep)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+    def test_draws_are_the_exponential_calls(self, law):
+        # _draw scales standard exponentials itself; the numbers must be
+        # those of rng.exponential, services and kill times included
+        cfg = config(k=2, m=6, plan=kernels.Proportional(0.4, 6), law=law)
+        rng, ref = simulate._chunk_rng(3, 1), simulate._chunk_rng(3, 1)
+        arrivals, services = simulate._draw(cfg, rng, 3000)
+        gaps = ref.exponential(1.0 / kernels.plan_rates(cfg.plan)[::-1], size=(3000, 6))
+        assert np.array_equal(arrivals, np.cumsum(gaps, axis=1))
+        assert np.array_equal(services, service.sample(law, ref, size=(3000, 8)))
+        assert np.array_equal(rng.exponential(1 / 0.7, 3000), ref.exponential(1 / 0.7, 3000))
 
     @pytest.mark.parametrize("k,m", [(0, 4), (4, 0), (0, 0)])
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
     def test_replay_edges(self, law, k, m):
         cfg = config(k=k, m=m, plan=kernels.Constant(0.9, m), law=law)
-        got = simulate._replay(cfg, simulate._chunk_rng(5, 0), 2049)
+        got = replay(cfg, simulate._chunk_rng(5, 0), 2049)
         want = reference_replay(cfg, simulate._chunk_rng(5, 0), 2049)
         for a, b in zip(got, want):
             assert a.shape == (2049, k + m)
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k,m", [(0, 0), (2, 0), (0, 3), (1, 1), (3, 10)])
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+    def test_blocks_match_whole_chunk_reference(self, law, k, m, monkeypatch):
+        # 5000-row chunks, not a multiple of the blocks, so every chunk ends
+        # in a partial block and the last chunk is partial too
+        assert 5000 % simulate._BLOCK
+        monkeypatch.setattr(simulate, "_CHUNK", 5000)
+        cfg = config(
+            k=k, m=m, plan=kernels.Proportional(0.6, m), law=law, gamma=0.9,
+            times=(0.0, 0.5, 3.0), z_grid=(0.3, 0.9), alpha_grid=(0.0, 0.5, 2.0),
+            tail_points=tuple((j, 0.4 * j) for j in range(1, k + m + 1)),
+            replications=12_345, seed=9,
+        )
+        got = simulate.simulate(cfg)
+        want = reference_simulate(cfg, 5000)
+        assert got.kill_pmf == want.kill_pmf
+        assert got.time_pmf == want.time_pmf
+        assert got.waiting_tail == want.waiting_tail
+        for key in ("pgf_values", "workload_lst"):
+            for x, y in zip(getattr(got, key).values(), getattr(want, key).values()):
+                assert x.value == pytest.approx(y.value, rel=1e-14, abs=0.0)
+                assert x.stderr == pytest.approx(y.stderr, rel=1e-9, abs=1e-15)
+        assert len(got.waiting_means) == k + m
+        for x, y in zip(got.waiting_means, want.waiting_means):
+            assert x.value == pytest.approx(y.value, rel=1e-12, abs=1e-12)
+
+    def test_deterministic_initial_waits_exact(self):
+        # initial customer j waits exactly (j - 1) 0.8 in every replication
+        law = service.Deterministic(0.8)
+        cfg = config(k=6, m=12, plan=kernels.Constant(0.9, 12), law=law,
+                     replications=200_000, seed=4)
+        report = simulate.simulate(cfg)
+        for j, est in enumerate(report.waiting_means[:6], start=1):
+            assert est.value == pytest.approx((j - 1) * 0.8, abs=1e-13)
+
+    def test_peak_memory_is_one_chunk_of_draws(self):
+        cfg = config(k=6, m=28, plan=kernels.Constant(0.9, 28), replications=200_000)
+        draw_bytes = 200_000 * (2 * 28 + 6) * 8
+        tracemalloc.start()
+        try:
+            simulate.simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * draw_bytes
 
 
 class TestArrivalProcess:

@@ -113,13 +113,13 @@ class TestWaitingLst:
         squares = np.zeros_like(sums)
         n_rep, chunks = 50_000, 4
         for chunk in range(chunks):
-            arrivals, start, _ = simulate._replay(
-                config, simulate._chunk_rng(seed, chunk), n_rep
-            )
+            arrivals, services = simulate._draw(config, simulate._chunk_rng(seed, chunk), n_rep)
+            start, _ = simulate._fifo(k, arrivals.T, services.T)
+            start[k:] -= arrivals.T  # now the waiting times, customer-major
             for row, alpha in enumerate(alphas):
-                draws = np.exp(-alpha * (start - arrivals))
-                sums[row] += draws.sum(axis=0)
-                squares[row] += (draws**2).sum(axis=0)
+                draws = np.exp(-alpha * start)
+                sums[row] += draws.sum(axis=1)
+                squares[row] += (draws**2).sum(axis=1)
         total = n_rep * chunks
         est = sums / total
         stderr = np.sqrt(np.maximum(squares / total - est**2, 0.0) / total)
