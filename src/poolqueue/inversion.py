@@ -87,13 +87,6 @@ def invert(fhat, t):
     return estimate if np.ndim(estimate) else float(estimate)
 
 
-def _inverted_pmf(k, m, plan, law, t):
-    """The PMF of Z(t), inverted coefficient by coefficient, not renormalized."""
-    return invert(
-        lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0), t
-    )
-
-
 def pmf_at_time(k, m, plan, law, t):
     """P(Z(t) = l) for l = 0..k+m, by inverting each PGF coefficient.
 
@@ -102,13 +95,13 @@ def pmf_at_time(k, m, plan, law, t):
     renormalized when its total mass is within 1e-6 of one and rejected
     otherwise.
     """
-    levels = k + m + 1
     if t == 0:
-        out = np.zeros(levels)
+        out = np.zeros(k + m + 1)
         out[k] = 1.0
         return out
-
-    raw = _inverted_pmf(k, m, plan, law, t)
+    raw = invert(
+        lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0), t
+    )
     total = raw.sum()
     if abs(total - 1.0) > 1e-6:
         raise NormalizationError(
@@ -118,11 +111,8 @@ def pmf_at_time(k, m, plan, law, t):
 
 
 def pgf_at_time(k, m, plan, law, z, t):
-    """E[z^{Z(t)}] at real or complex z: the inverted PMF evaluated at z."""
-    if t == 0:
-        return z**k
-    probs = _inverted_pmf(k, m, plan, law, t)
-    value = np.polynomial.polynomial.polyval(z, probs)
+    """E[z^{Z(t)}] at real or complex z: the PMF of pmf_at_time at z."""
+    value = np.polynomial.polynomial.polyval(z, pmf_at_time(k, m, plan, law, t))
     return complex(value) if np.iscomplexobj(value) else float(value)
 
 

@@ -1,12 +1,12 @@
 """Arrival-count kernels for the finite customer pool.
 
-Two triangular probability tables drive everything downstream, indexed by
-(n, i) with 0 <= i <= n <= m, n being the number of customers still to
-arrive at the start of a service:
+Two probability tables drive everything downstream.  Each is a dense
+matrix indexed [n, n'], zero where n' > n: n customers are still to arrive
+when a service starts, and n' = n - i after i of them have arrived,
 
-* ``u[n][i]`` -- i arrivals during one service time, jointly with the
+* ``u[n, n - i]`` -- during one service time, jointly with the
   independent Exp(gamma) deadline outlasting the service;
-* ``v[n][i]`` -- i arrivals before the deadline, jointly with the deadline
+* ``v[n, n - i]`` -- before the deadline, jointly with the deadline
   falling inside the service.
 
 The outstanding count is a pure-death process with rates lambda_n, so a
@@ -19,24 +19,24 @@ one of two ways, neither of which forms alternating sums that grow with m:
   x_i = lambda_{n-i+1} x_{i-1} ((gamma + lambda_{n-i}) I - S)^{-1}
   (lambda_0 = 0), so u_{ni} = x_i s0 and v_{ni} = gamma x_i 1; at real
   gamma every factor is nonnegative;
-* Deterministic(d) service: one matrix exponential of the block
-  [[(L - gamma I) d, d I], [0, 0]], L being the death generator, whose
-  top-left block holds u and whose top-right block holds v / gamma, at
-  [n, n - i].
+* Deterministic(d) service: power series in the uniformized death chain
+  P = I + L/q, L being the death generator (after Lucantoni's uniformized
+  M/G/1-type matrices): u = e^{-gamma d} e^{L d}, a Poisson mixture of the
+  P^j, and v / gamma = integral_0^d e^{(L - gamma) t} dt, whose scalar
+  weights come from a two-way recursion; at real gamma no term is negative.
 
 kernel_rows returns u together with a multiple of the gamma-free kill
 kernel r(a), whose entries also carry E[e^{-a R}] of the residual service R
-at the kill (bottom-right block -a d I for Deterministic): v = gamma r(0),
+at the kill (the factor e^{-a (d - t)} for Deterministic): v = gamma r(0),
 and the waiting-time transforms read r(a) at gamma = 0.
 
 gamma may be a 1-D array of killing rates, the nodes of an inversion
-contour: every row then carries the node axis first, and each node is
-computed by the same stacked products as a scalar gamma, which is a batch
-of one.
+contour: both matrices then carry the node axis first, and each node is
+computed by the same products as a scalar gamma, which is a batch of one.
 """
 
 from dataclasses import dataclass
-from math import inf
+from math import ceil, inf, lgamma, log, sqrt
 
 import numpy as np
 
@@ -104,54 +104,69 @@ def plan_rates(plan):
     return np.asarray(plan.rates)
 
 
-def _expm(a):
-    """e^a for each matrix of the stack a[..., :, :], which is overwritten:
-    scale each until its 1-norm is at most 1/2, sum the degree-18 Taylor
-    polynomial (truncation below 1e-22), then square each back by its own
-    count, so that a matrix that overflows leaves the others as they would
-    be alone.  The loops update in place to hold few stack-sized arrays."""
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    squarings = np.ceil(np.log2(np.maximum(2.0 * norms, 1.0))).astype(int)
-    a /= (2.0**squarings)[..., None, None]
-    eye = np.eye(a.shape[-1])
-    out = eye
-    for j in range(18, 0, -1):
-        out = a @ out
-        out /= j
-        out += eye
-    for step in range(squarings.max(initial=0)):
-        todo = squarings > step
-        part = out[todo]
-        out[todo] = part @ part
-    return out
+def _death_series(lams, q, *coeffs):
+    """sum_j c[..., j] P^j for each c in coeffs, with the uniformized death
+    chain P = I + L/q (P[n, n] = 1 - lambda_n/q, P[n, n - 1] = lambda_n/q).
+    Each leading index is its own vector-matrix product, so nodes do not
+    mix; the powers are stacked 2^20 entries at a time."""
+    size, terms = len(lams), coeffs[0].shape[-1]
+    stay, move = (1.0 - lams / q)[:, None], (lams[1:] / q)[:, None]
+    sums = [np.zeros(c.shape[:-1] + (1, size * size), dtype=c.dtype) for c in coeffs]
+    power, step = np.eye(size), max(1, 2**20 // size**2)
+    for start in range(0, terms, step):
+        count = min(step, terms - start)
+        powers = np.empty((count + 1, size, size))
+        powers[0] = power
+        for j in range(count):
+            np.multiply(stay, powers[j], out=powers[j + 1])
+            powers[j + 1, 1:] += move * powers[j, :-1]
+        power = powers[count]
+        flat = powers[:count].reshape(count, -1)
+        for c, out in zip(coeffs, sums):
+            out += c[..., None, start : start + count] @ flat
+    return [out.reshape(c.shape[:-1] + (size, size)) for c, out in zip(coeffs, sums)]
 
 
-def _death_blocks(plan, d, gamma, alpha):
-    """e^{(L - gamma) d} and integral_0^d e^{(L - gamma) t} e^{-alpha (d - t)} dt,
-    with gamma.shape leading.
+def _kill_integrals(x, y, w):
+    """G_j = integral_0^1 e^{-x s} (y s)^j / j! ds on w's last axis, where
+    w_j = e^{-x} y^j / j!.  x G_j = y G_{j-1} - w_j (x G_0 = 1 - w_0) runs
+    forward where |x| > y and backward from zero elsewhere, NaN included,
+    so that rounding shrinks at every step."""
+    shape, x, w = w.shape, np.atleast_1d(x), np.atleast_2d(w)
+    g = np.zeros_like(w)
+    up = np.abs(x) > y
+    g[up, 0] = (1.0 - w[up, 0]) / x[up]
+    for j in range(1, w.shape[-1]):
+        g[up, j] = (y * g[up, j - 1] - w[up, j]) / x[up]
+        g[~up, -j - 1] = (x[~up] * g[~up, -j] + w[~up, -j]) / y
+    return g.reshape(shape)
 
-    L is the generator of the outstanding count, so entry [n, n - i] of the
-    first block is e^{-gamma d} P(i arrivals in d | n outstanding).  Both
-    come from one exponential of [[(L - gamma I) d, d I], [0, -alpha d I]].
-    """
+
+def _deterministic_tables(plan, d, gamma, alpha, scale):
+    """u = e^{(L - gamma) d} and scale r(alpha), with r(alpha) the integral
+    of e^{(L - gamma) t} e^{-alpha (d - t)} over [0, d], as power series in
+    P = I + L/q, q = max(lambda_max, 1/d) and y = q d: u = e^{-gamma d} E
+    for the gamma-free E = sum_j e^{-y} y^j/j! P^j = e^{L d}, and
+    r = sum_j d e^{-alpha d} G_j P^j with x = (q + gamma - alpha) d.  Terms
+    past y + 9 sqrt(y) + 10 carry under 1e-17 of Poisson(y), which bounds
+    both tails; the count depends on y alone, so nodes do not mix."""
     lams = np.concatenate(([0.0], plan_rates(plan)))
-    size = len(lams)
-    eye = np.eye(size)
-    gammas = np.reshape(gamma, np.shape(gamma) + (1, 1))
-    block = np.zeros(
-        np.shape(gamma) + (2 * size, 2 * size), dtype=np.result_type(gamma, alpha)
+    q, y = max(lams.max(), 1.0 / d), max(lams.max() * d, 1.0)
+    terms = np.arange(ceil(y + 9.0 * sqrt(y) + 10.0))
+    poisson = np.exp(terms * log(y) - y - np.array([lgamma(j + 1.0) for j in terms]))
+    # Rounding in j log(y) would leave the sum off by ~1e-13 at y ~ 1000.
+    poisson /= poisson.sum()
+    gammas = np.asarray(gamma)
+    g = _kill_integrals(
+        y + (gammas - alpha) * d, y, poisson * np.exp((alpha - gammas) * d)[..., None]
     )
-    death = np.diag(lams[1:], -1) - np.diag(lams)
-    block[..., :size, :size] = (death - gammas * eye) * d
-    block[..., :size, size:] = d * eye
-    block[..., size:, size:] = -alpha * d * eye
-    e = _expm(block)
-    return e[..., :size, :size], e[..., :size, size:]
+    weights = np.expand_dims(scale * d * np.exp(-alpha * d), -1) * g
+    death, r = _death_series(lams, q, poisson, weights)
+    return np.exp(-gammas * d)[..., None, None] * death, r
 
 
-def _phase_rows(plan, start, sub, gamma, cols):
-    """Rows n = 0..m of X_n @ cols, with gamma.shape leading, where X_n
-    stacks x_0..x_n of row n.
+def _phase_tables(plan, start, sub, gamma, cols):
+    """Tables [c][..., n, n - i] = x_i cols[:, c], gamma.shape leading.
 
     x_0 = start R_n and x_i = x_{i-1} lambda_{n-i+1} R_{n-i}, with
     R_j = ((gamma + lambda_j) I - S)^{-1}: x_i[k] is the Laplace transform at
@@ -160,73 +175,62 @@ def _phase_rows(plan, start, sub, gamma, cols):
     product, stacked over the gammas.
     """
     lams = np.concatenate(([0.0], plan_rates(plan)))
+    size = len(lams)
     inverses = np.linalg.inv(
         np.add.outer(lams, gamma)[..., None, None] * np.eye(len(start)) - sub
     )
     heads = (start @ inverses)[..., None, :]
     steps = [None] + [lam * inverse for lam, inverse in zip(lams[1:], inverses)]
-    rows = []
-    for n in range(len(lams)):
-        x = heads[n]
-        xs = [x]
+    shape = (cols.shape[-1],) + np.shape(gamma) + (size, size)
+    tables = np.zeros(shape, dtype=np.result_type(inverses, cols))
+    for n in range(size):
+        xs = [heads[n]]
         for i in range(1, n + 1):
-            x = x @ steps[n - i + 1]
-            xs.append(x)
-        rows.append(np.concatenate(xs, axis=-2) @ cols)
-    return rows
+            xs.append(xs[-1] @ steps[n - i + 1])
+        row = np.concatenate(xs, axis=-2) @ cols
+        tables[..., n, : n + 1] = np.moveaxis(row[..., ::-1, :], -1, 0)
+    return tables
 
 
 def kernel_rows(plan, law, gamma, alpha, scale):
-    """Rows n = 0..m of u and of scale * r(alpha) at killing rate gamma.
-
-    gamma is a scalar or a 1-D array of killing rates (the nodes of an
-    inversion contour), and scale is a scalar or has gamma's shape.  Row n
-    has shape gamma.shape + (n + 1,): every node runs through the same
-    stacked products, and a scalar gamma is a batch of one.
+    """u and scale * r(alpha) at killing rate gamma, in the layout
+    transient.sweep steps with: shape gamma.shape + (m + 1, m + 1), indexed
+    [n, n - i] (see the module docstring).  gamma is a scalar or a 1-D
+    array of killing rates, and scale a scalar or of gamma's shape.
 
     r_{ni}(alpha) integrates e^{-gamma t} E[e^{-alpha(B-t)} ; i arrivals by
     t, t < B] over t, so v = gamma r(0): the tables pass scale = gamma and
     the waiting times scale = 1.  Phase-type: u_{ni} = x_i s0 and
     r_{ni} = x_i (alpha I - S)^{-1} s0, the residual service after t being
-    PH from the phase it is in.  Deterministic: the two blocks of one
-    exponential per gamma, the second carrying the factor e^{-alpha(d - t)}.
+    PH from the phase it is in.  Deterministic: power series in the
+    uniformized death chain, the second carrying the factor e^{-alpha(d - t)}.
     """
-    scales = np.expand_dims(scale, -1)
     if isinstance(law, Deterministic):
-        growth, integral = _death_blocks(plan, law.value, gamma, alpha)
-        size = growth.shape[-1]
-        return (
-            [growth[..., n, n::-1] for n in range(size)],
-            [scales * integral[..., n, n::-1] for n in range(size)],
-        )
+        return _deterministic_tables(plan, law.value, gamma, alpha, scale)
     start, sub = service.phase_type(law)
     exit_rates = -sub.sum(axis=1)
     residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)
-    cols = np.stack(np.broadcast_arrays(exit_rates, scales * residual), axis=-1)
-    rows = _phase_rows(plan, start, sub, gamma, cols)
-    return [row[..., 0] for row in rows], [row[..., 1] for row in rows]
+    scaled = np.expand_dims(scale, -1) * residual
+    cols = np.stack(np.broadcast_arrays(exit_rates, scaled), axis=-1)
+    return tuple(_phase_tables(plan, start, sub, gamma, cols))
 
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Triangular kernel tables at a fixed killing rate or array of rates.
-
-    ``u`` and ``v`` are lists of arrays; row n has entries i = 0..n on its
-    last axis, after gamma's shape, built
-    by the phase-type recursion or, for Deterministic service, by the block
-    matrix exponential (see the module docstring).  Row sums are beta(gamma)
-    and 1 - beta(gamma) up to rounding.
-    """
+    """Kernel tables u and v at a fixed killing rate or array of rates, of
+    shape gamma.shape + (m + 1, m + 1) and indexed [n, n - i] (see the
+    module docstring).  Row sums are beta(gamma) and 1 - beta(gamma) up to
+    rounding."""
 
     plan: RatePlan
     law: object
     gamma: complex
-    u: list
-    v: list
+    u: np.ndarray
+    v: np.ndarray
 
     def v_alpha(self, alpha):
-        """Rows n = 0..m of E[e^{-alpha(B-T)} ; i arrivals by T, T <= B]:
-        gamma r(alpha) (see kernel_rows).  At alpha = 0 the rows are v."""
+        """E[e^{-alpha(B-T)} ; i arrivals by T, T <= B] at [n, n - i]:
+        gamma r(alpha) (see kernel_rows).  At alpha = 0 it is v."""
         return kernel_rows(self.plan, self.law, self.gamma, alpha, self.gamma)[1]
 
 

@@ -5,8 +5,9 @@ Every law is a small frozen dataclass.  The transform-capable families
 Laplace-Stieltjes transform of the service time in closed form, valid at
 complex arguments.  The first three are phase-type: phase_type gives their
 (alpha, S) representation, from which the kernel tables are built by a
-matrix recursion; Deterministic tables come from a matrix exponential
-instead.  Pareto is simulation-only (tail, mean, sample).
+matrix recursion; Deterministic tables are power series in the
+uniformized arrival-count chain instead.  Pareto is simulation-only
+(tail, mean, sample).
 """
 
 from dataclasses import dataclass
@@ -173,13 +174,21 @@ def sample(law, rng, size=None):
         return rng.exponential(1.0 / law.rate, size=size)
     if isinstance(law, Erlang):
         return rng.gamma(law.shape, 1.0 / law.rate, size=size)
+    # HyperExponential and Pareto work in place, to hold one draw-sized
+    # array at a time besides rng.choice's own.
     if isinstance(law, HyperExponential):
         idx = rng.choice(len(law.rates), size=size, p=law.weights)
-        scales = 1.0 / np.asarray(law.rates)
-        return rng.exponential(scales[idx])
+        draws = (1.0 / np.asarray(law.rates))[idx]
+        del idx
+        draws *= rng.standard_exponential(size)
+        return draws
     if isinstance(law, Deterministic):
         if size is None:
             return law.value
         return np.full(size, law.value)
-    u = 1.0 - rng.random(size)
-    return law.scale * u ** (-1.0 / law.index)
+    draws = rng.random(size)
+    draws *= -1.0
+    draws += 1.0
+    draws **= -1.0 / law.index
+    draws *= law.scale
+    return draws

@@ -71,22 +71,22 @@ class JointTransformValue:
         return _polyval(z, self.coeffs)
 
 
-def sweep(k, m, plan, gamma, u_rows, v_rows):
+def sweep(k, m, plan, gamma, u, v):
     """Push unit mass from (k, m) down the diagonals s = l + n of the chain.
 
     Every service completion lowers l + n by one, so the mass on diagonal s
     is a vector over n (with l = s - n) and one step maps it to diagonal
-    s - 1 through U[n, n-i] = u_rows[n][..., i].  Mass killed during a
-    service from (l, n) leaves c = l + i present and n' = n - i still to
-    arrive, with weight v_rows[n][..., i].  The empty state (0, s) is
-    resolved within its diagonal first: killed onto (0, s) with probability
-    gamma / (gamma + lambda_s), otherwise moved to (1, s - 1).
+    s - 1 through the kernel matrix u[..., n, n'], n' = n - i after i
+    arrivals.  Mass killed during a service from (l, n) leaves c = l + i
+    present and n' still to arrive, with weight v[..., n, n'].  The empty
+    state (0, s) is resolved within its diagonal first: killed onto (0, s)
+    with probability gamma / (gamma + lambda_s), otherwise moved to
+    (1, s - 1).
 
-    gamma is a scalar or a 1-D array of killing rates, and the rows carry
-    the same leading shape (see kernels.kernel_rows); every node is swept at
-    once through dense step and deposit arrays of shape
-    gamma.shape + (m + 1, m + 1).  Returns (joint, empty), each with that
-    leading shape and the dtype of gamma and the rows: joint[..., c, n'],
+    gamma is a scalar or a 1-D array of killing rates, and u and v have
+    shape gamma.shape + (m + 1, m + 1) (see kernels.kernel_rows); every
+    node is swept at once.  Returns (joint, empty), each with that
+    leading shape and the dtype of gamma and the kernels: joint[..., c, n'],
     the killed mass that leaves c present and n' still to arrive, the
     (0, s) kills and the final (0, 0) mass on row c = 0; and empty[..., s],
     the mass on (0, s) just before it is resolved, for s = 0..m.  At a real
@@ -96,12 +96,8 @@ def sweep(k, m, plan, gamma, u_rows, v_rows):
     """
     size = m + 1
     batch = np.shape(gamma)
-    dtype = np.result_type(gamma, u_rows[-1], v_rows[-1])
-    step = np.zeros(batch + (size, size), dtype=dtype)
-    deposit = np.zeros(batch + (size, size), dtype=dtype)
-    for n in range(size):
-        step[..., n, : n + 1] = u_rows[n][..., ::-1]
-        deposit[..., n, : n + 1] = v_rows[n][..., ::-1]
+    dtype = np.result_type(gamma, u, v)
+    step, deposit = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
     # Each node's vectors are 1-row matrices, so that one matmul steps them
     # all; joint is kept flat, its entry (c, n') at c * size + n'.
     joint = np.zeros(batch + (1, (k + m + 1) * size), dtype=dtype)

@@ -75,7 +75,7 @@ def test_criterion_2_exponential_closed_form():
                 expected = mu / (lams[n - i - 1] + gm)
                 for j in range(n - i, n):
                     expected *= lams[j] / (lams[j] + gm)
-                worst = max(worst, abs(tables.u[n][i] - expected))
+                worst = max(worst, abs(tables.u[n, n - i] - expected))
     report(2, "exponential-service closed form", worst <= 1e-12, f"max dev {worst:.2e}")
 
 

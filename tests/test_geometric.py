@@ -20,7 +20,7 @@ def mu_grid(params, z, levels=45):
     tables = kernels.build_tables(kernels.Constant(params.lam, levels), law, gamma)
     top = 2 * levels + 2
     mu = np.zeros((top + 1, levels))
-    u00, v00 = tables.u[0][0], tables.v[0][0]
+    u00, v00 = tables.u[0, 0], tables.v[0, 0]
     mu[0, 0] = 1.0
     for ell in range(1, top + 1):
         mu[ell, 0] = u00 * mu[ell - 1, 0] + z**ell * v00
@@ -30,8 +30,8 @@ def mu_grid(params, z, levels=45):
         for ell in range(1, top - n + 1):
             acc = 0.0
             for i in range(n + 1):
-                acc += mu[ell + i - 1, n - i] * tables.u[n][i]
-                acc += z ** (ell + i) * tables.v[n][i]
+                acc += mu[ell + i - 1, n - i] * tables.u[n, n - i]
+                acc += z ** (ell + i) * tables.v[n, n - i]
             mu[ell, n] = acc
     return mu[: levels, :]
 

@@ -264,6 +264,8 @@ class TestScalarWrappers:
         probs = inversion.pmf_at_time(1, 1, plan, law, t)
         direct = inversion.pgf_at_time(1, 1, plan, law, z, t)
         assert direct == pytest.approx(float(probs @ z ** np.arange(3)), abs=1e-8)
+        # The PGF is the renormalized PMF's polynomial, so its mass is 1.
+        assert inversion.pgf_at_time(1, 1, plan, law, 1.0, t) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("z", [0.5 + 0.2j, -0.3 + 0.8j, 1j])
     def test_pgf_at_complex_z_matches_uniformization(self, z):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolqueue import kernels, service
+from poolqueue import inversion, kernels, service
 from poolqueue.errors import UnsupportedTransform
 
 LAWS = [
@@ -65,7 +66,7 @@ class TestRatePlans:
 
 
 def arrival_probs(plan, t):
-    """Rows h_{n.}(t) = P(i arrivals in [0, t] | n outstanding), t > 0.
+    """h[n, n - i] = P(i arrivals in [0, t] | n outstanding), t > 0.
 
     Deterministic(t) service with no deadline turns u into exactly these.
     """
@@ -75,17 +76,17 @@ def arrival_probs(plan, t):
 class TestArrivalCountMixture:
     @pytest.mark.parametrize("plan", plans(3))
     def test_no_remaining_customers(self, plan):
-        assert arrival_probs(plan, 7.3)[0][0] == pytest.approx(1.0)
+        assert arrival_probs(plan, 7.3)[0, 0] == pytest.approx(1.0)
 
     def test_constant_poisson_term(self):
         # exactly one of two arrivals by t: t e^{-t} for lam = 1
         for t in (0.5, 2.0):
-            h = arrival_probs(kernels.Constant(1.0, 2), t)[2][1]
+            h = arrival_probs(kernels.Constant(1.0, 2), t)[2, 1]
             assert h == pytest.approx(t * math.exp(-t), abs=1e-14)
 
     def test_proportional_single_cdf(self):
         for t in (0.5, 2.0):
-            h = arrival_probs(kernels.Proportional(1.0, 1), t)[1][1]
+            h = arrival_probs(kernels.Proportional(1.0, 1), t)[1, 0]
             assert h == pytest.approx(1.0 - math.exp(-t), abs=1e-14)
 
     @pytest.mark.parametrize("plan", plans(5))
@@ -95,7 +96,7 @@ class TestArrivalCountMixture:
         rows = arrival_probs(plan, 1e-12)
         for n in range(6):
             for i in range(n + 1):
-                assert rows[n][i] == pytest.approx(1.0 if i == 0 else 0.0, abs=1e-11)
+                assert rows[n, n - i] == pytest.approx(1.0 if i == 0 else 0.0, abs=1e-11)
 
     @pytest.mark.parametrize("plan", plans(5))
     def test_rows_form_distribution(self, plan):
@@ -106,11 +107,12 @@ class TestArrivalCountMixture:
                 assert rows[n].sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_index_bounds(self):
+        # Dense [n, n'] over n, n' = 0..m; no row can end with n' > n.
         rows = arrival_probs(kernels.Constant(1.0, 2), 1.0)
+        assert rows.shape == (3, 3)
+        assert np.array_equal(rows[np.triu_indices(3, 1)], np.zeros(3))
         with pytest.raises(IndexError):
-            rows[3][0]
-        with pytest.raises(IndexError):
-            rows[1][2]
+            rows[3, 0]
 
     @pytest.mark.parametrize("t", [0.4, 2.5])
     def test_closed_forms_at_large_pool(self, t):
@@ -124,10 +126,10 @@ class TestArrivalCountMixture:
         x, p = lam * t, 1.0 - math.exp(-lam * t)
         for n in (1, 30, 60):
             poisson = [math.exp(-x) * x**i / math.factorial(i) for i in range(n)]
-            assert np.allclose(const[n][:n], poisson, rtol=1e-12, atol=1e-16)
-            assert const[n][n] == pytest.approx(1.0 - sum(poisson), rel=1e-12, abs=1e-15)
+            assert np.allclose(const[n, n:0:-1], poisson, rtol=1e-12, atol=1e-16)
+            assert const[n, 0] == pytest.approx(1.0 - sum(poisson), rel=1e-12, abs=1e-15)
             binomial = [math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(n + 1)]
-            assert np.allclose(prop[n], binomial, rtol=1e-12, atol=1e-16)
+            assert np.allclose(prop[n, n::-1], binomial, rtol=1e-12, atol=1e-16)
 
 
 class TestKernelTables:
@@ -136,18 +138,18 @@ class TestKernelTables:
         tables = kernels.build_tables(
             kernels.Proportional(1.0, 1), service.Exponential(1.0), 1.0
         )
-        assert tables.u[1][0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert tables.v[1][0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert tables.u[1][1] == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert tables.v[1][1] == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert tables.u[1, 1] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert tables.v[1, 1] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert tables.u[1, 0] == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert tables.v[1, 0] == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert tables.u[1].sum() == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("law", LAWS)
     def test_empty_pool_entries(self, law):
         tables = kernels.build_tables(kernels.Constant(1.0, 0), law, 0.9)
         beta = service.lst(law, 0.9)
-        assert tables.u[0][0] == pytest.approx(beta, abs=1e-14)
-        assert tables.v[0][0] == pytest.approx(1.0 - beta, abs=1e-14)
+        assert tables.u[0, 0] == pytest.approx(beta, abs=1e-14)
+        assert tables.v[0, 0] == pytest.approx(1.0 - beta, abs=1e-14)
 
     @pytest.mark.parametrize("law", LAWS)
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
@@ -186,7 +188,7 @@ class TestKernelTables:
                 expected = mu / (lams[n - i - 1] + gm)
                 for j in range(n - i, n):
                     expected *= lams[j] / (lams[j] + gm)
-                assert tables.u[n][i] == pytest.approx(expected, abs=1e-12)
+                assert tables.u[n, n - i] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("law", LAWS)
     def test_w_is_small_gamma_limit(self, law):
@@ -262,15 +264,79 @@ class TestKernelTables:
         assert abs(tables.u[250].sum() - beta) < 1e-10
 
 
+def block_exponential(plan, d, gamma, alpha):
+    """u and r(alpha) from scipy's exponential of the block
+    [[(L - gamma I) d, d I], [0, -alpha d I]], L being the death generator:
+    an independent reference for the Deterministic power series."""
+    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+    size = len(lams)
+    gammas = np.reshape(gamma, np.shape(gamma) + (1, 1))
+    death = np.diag(lams[1:], -1) - np.diag(lams)
+    block = np.zeros(np.shape(gamma) + (2 * size, 2 * size), dtype=complex)
+    block[..., :size, :size] = (death - gammas * np.eye(size)) * d
+    block[..., :size, size:] = d * np.eye(size)
+    block[..., size:, size:] = -alpha * d * np.eye(size)
+    e = scipy.linalg.expm(block)
+    return e[..., :size, :size], e[..., :size, size:]
+
+
+class TestDeterministicSeries:
+    """The Poisson power series against the block exponential it replaces."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            kernels.Constant(1.25, 10),
+            kernels.Proportional(0.3, 40),
+            kernels.General(tuple(0.5 + 0.6 * j for j in range(12))),
+            kernels.Constant(1.0, 0),
+        ],
+    )
+    def test_matches_block_exponential(self, plan):
+        law = service.Deterministic(0.8)
+        lam = plan.rates[0] if plan.m else 1.0
+        gammas = [np.array([0.0, 0.3, 1.0, 5.0])] + [
+            inversion._euler_nodes(t, 32)[0] for t in (0.5, 2.0, 12.0)
+        ]
+        for alpha in (0.0, 0.6, lam, 2.0 + 1.0j, 8.0):
+            for gamma in gammas:
+                u, r = kernels.kernel_rows(plan, law, gamma, alpha, 1.0)
+                ref_u, ref_r = block_exponential(plan, 0.8, gamma, alpha)
+                assert np.max(np.abs(u - ref_u)) <= 1e-13
+                assert np.max(np.abs(r - ref_r)) <= 1e-13
+
+    def test_matches_block_exponential_at_900_expected_arrivals(self):
+        # lambda_max d = 900: about 1200 terms, in blocks of stacked powers.
+        plan, law = kernels.Proportional(1.0, 300), service.Deterministic(3.0)
+        for gamma, alpha in ((0.0, 0.0), (0.7, 2.0 + 1.0j)):
+            u, r = kernels.kernel_rows(plan, law, gamma, alpha, 1.0)
+            ref_u, ref_r = block_exponential(plan, 3.0, gamma, alpha)
+            assert np.max(np.abs(u - ref_u)) <= 1e-13
+            assert np.max(np.abs(r - ref_r)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            kernels.Constant(0.9, 200),
+            kernels.Proportional(0.05, 200),
+            kernels.General(tuple(0.3 + 0.01 * j for j in range(200))),
+        ],
+    )
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_large_pool_probabilities(self, plan, gamma):
+        tables = kernels.build_tables(plan, service.Deterministic(0.8), gamma)
+        assert tables.u.shape == tables.v.shape == (201, 201)
+        assert tables.u.min() >= -1e-15 and tables.v.min() >= -1e-15
+        assert np.max(np.abs(tables.u.sum(-1) + tables.v.sum(-1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(tables.u.sum(-1) - math.exp(-0.8 * gamma))) <= 1e-12
+
+
 class TestWorkloadKernel:
     def test_alpha_zero_reduces_to_v(self):
         tables = kernels.build_tables(
             kernels.Proportional(0.9, 3), service.Erlang(2, 2.0), 1.1
         )
-        rows = tables.v_alpha(0.0)
-        for n in range(4):
-            for i in range(n + 1):
-                assert rows[n][i] == pytest.approx(tables.v[n][i], abs=1e-12)
+        assert np.allclose(tables.v_alpha(0.0), tables.v, rtol=0.0, atol=1e-12)
 
     def test_exponential_memoryless_factorization(self):
         # v00(alpha) = (gamma/(gamma+mu)) * (mu/(mu+alpha)): the residual of
@@ -280,7 +346,7 @@ class TestWorkloadKernel:
             kernels.Constant(1.0, 0), service.Exponential(mu), gamma
         )
         expected = gamma / (gamma + mu) * mu / (mu + alpha)
-        assert tables.v_alpha(alpha)[0][0] == pytest.approx(expected, abs=1e-12)
+        assert tables.v_alpha(alpha)[0, 0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("law", LAWS)
     def test_monte_carlo_check(self, law):
@@ -299,7 +365,7 @@ class TestWorkloadKernel:
             hit = inside & (counts == i)
             vals = np.where(hit, np.exp(-alpha * np.maximum(b - t, 0.0)), 0.0)
             se = vals.std(ddof=1) / math.sqrt(reps)
-            assert abs(vals.mean() - rows[n][i]) <= 4 * se
+            assert abs(vals.mean() - rows[n, n - i]) <= 4 * se
 
 
 class TestMonteCarloKernels:
@@ -327,7 +393,7 @@ class TestMonteCarloKernels:
         for i in range(n + 1):
             freq = (survive & (counts == i)).astype(float)
             se = freq.std(ddof=1) / math.sqrt(reps)
-            assert abs(freq.mean() - tables.u[n][i]) <= 4 * max(se, 1e-12)
+            assert abs(freq.mean() - tables.u[n, n - i]) <= 4 * max(se, 1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from poolqueue import kernels, service, simulate, transient
 from poolqueue.errors import UnsupportedOracle
@@ -153,7 +154,7 @@ def dense_resolvent(k, m, plan, law, gamma):
 def dense_at_time(k, m, plan, law, t):
     """Time law by a matrix exponential of the dense generator."""
     Q, init, index = dense_chain(k, m, plan, law)
-    return fold(init @ kernels._expm(Q[None] * t)[0], index, k, m)
+    return fold(init @ scipy.linalg.expm(Q * t), index, k, m)
 
 
 def config(**overrides):
@@ -353,8 +354,12 @@ class TestSimulate:
         for j, est in enumerate(report.waiting_means[:6], start=1):
             assert est.value == pytest.approx((j - 1) * 0.8, abs=1e-13)
 
-    def test_peak_memory_is_one_chunk_of_draws(self):
-        cfg = config(k=6, m=28, plan=kernels.Constant(0.9, 28), replications=200_000)
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+    def test_peak_memory_is_one_chunk_of_draws(self, law):
+        # rng.choice's own uniform and index arrays set HyperExponential's floor.
+        cfg = config(
+            k=6, m=28, plan=kernels.Constant(0.9, 28), law=law, replications=200_000
+        )
         draw_bytes = 200_000 * (2 * 28 + 6) * 8
         tracemalloc.start()
         try:
@@ -362,13 +367,14 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * draw_bytes
+        bound = 1.6 if isinstance(law, service.HyperExponential) else 1.15
+        assert peak <= bound * draw_bytes
 
 
 class TestArrivalProcess:
     def test_counts_match_mixture(self):
-        # arrivals in [0, t] with 3 outstanding vs h_{3i}(t), which is u_{3i}
-        # for Deterministic(t) service with no deadline
+        # arrivals in [0, t] with 3 outstanding vs h_{3i}(t), which is
+        # u[3, 3 - i] for Deterministic(t) service with no deadline
         plan = kernels.Proportional(0.7, 3)
         rng = np.random.default_rng(5)
         reps, t = 1_000_000, 1.1
@@ -377,7 +383,7 @@ class TestArrivalProcess:
         counts = (np.cumsum(gaps, axis=1) <= t).sum(axis=1)
         row = kernels.build_tables(plan, service.Deterministic(t), 0.0).u[3]
         for i in range(4):
-            h = row[i]
+            h = row[3 - i]
             freq = (counts == i).astype(float)
             se = freq.std(ddof=1) / math.sqrt(reps)
             assert abs(freq.mean() - h) <= 4 * se
