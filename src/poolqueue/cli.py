@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands cover the transform pipeline (pgf, pmf, moments, workload,
-waiting), time-domain inversion (at-time), the geometric-pool closed form
+waiting), time-domain answers (at-time), the geometric-pool closed form
 (geometric), the Monte Carlo engine (simulate), and a cross-oracle check
 (validate).  Parameters come from a YAML config file, command-line flags,
 or both; flags win.  _PARAMS declares each parameter once, and a flag and
@@ -450,8 +450,9 @@ _COMMANDS = {
                  _MODEL + ("gamma", "alpha")),
     "waiting": (cmd_waiting, "waiting-time means and transforms per customer",
                 _MODEL + ("j", "alpha")),
-    "at-time": (cmd_at_time, "queue-length PMF at fixed times, by numerical inversion",
-                _MODEL + ("t",)),
+    "at-time": (cmd_at_time,
+                "queue-length PMF at fixed times: uniformization for phase-type "
+                "service, Euler inversion for Deterministic", _MODEL + ("t",)),
     "geometric": (cmd_geometric,
                   "closed-form generating functions for geometric initial conditions",
                   ("lam", "mu", "gamma", "p", "r", "z")),

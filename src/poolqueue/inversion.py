@@ -1,25 +1,37 @@
-"""Numerical Laplace inversion: time-domain quantities from the transforms.
+"""Time-domain answers: P(Z(t) = l), E[z^{Z(t)}] and E[e^{-alpha W(t)}].
 
-The pipeline produces expectations at an independent Exp(gamma) deadline;
-dividing by gamma turns each of them into the Laplace transform (in gamma)
-of the corresponding function of deterministic time.  Euler summation
-(binomial averaging of a trapezoidal Fourier series on a vertical Bromwich
-line) recovers the originals.  Following Abate and Whitt's unified
-framework, the method checks itself at a second precision setting: Euler
-with ANSWER_NODES gives the answer, Euler with CHECK_NODES the check.  The
-transform is evaluated at the nodes of both at once: the kernel tables and
-the sweep take the nodes as an array of killing rates, so a time point
-costs one table build and one sweep.
+For phase-type service (alpha, S) they come from the chain on (customers
+present, customers yet to arrive, service phase) by uniformization
+(Grassmann, 1977): with q the largest exit rate, the law at time t is the
+Poisson(q t) mixture of the powers of the one-step matrix I + Q / q.  The
+chain's state is held as the array x[ell, n, phase], in which the idle
+state (0, n) is stored as its mass times alpha, so that an arrival moves
+every row (ell, n) to (ell + 1, n - 1) alike, a completion from ell >= 1
+feeds ell - 1 through s0 alpha, and only rows ell >= 1 take the phase
+moves of S.  One step is a few shifted slices.  (0, 0) absorbs, so once
+the mass off it is negligible the rest of the series is its limit.
+
+Deterministic service has no finite chain.  There the pipeline's
+expectations at an independent Exp(gamma) deadline, divided by gamma, are
+Laplace transforms (in gamma) of the functions of deterministic time, and
+Euler summation (binomial averaging of a trapezoidal Fourier series on a
+vertical Bromwich line) recovers the originals.  Following Abate and
+Whitt's unified framework, the method checks itself at a second precision
+setting: Euler with ANSWER_NODES gives the answer, Euler with CHECK_NODES
+the check.  The transform is evaluated at the nodes of both at once: the
+kernel tables and the sweep take the nodes as an array of killing rates, so
+a time point costs one table build and one sweep.
 """
 
 import warnings
 from dataclasses import dataclass
-from math import comb
+from math import ceil, comb, exp, frexp, inf, ldexp, log2, sqrt
 
 import numpy as np
 
-from . import service, transient
+from . import kernels, service, transient
 from .errors import ConvergenceWarning, DomainError, NormalizationError
+from .service import Deterministic
 
 __all__ = [
     "InversionConfig",
@@ -87,18 +99,83 @@ def invert(fhat, t):
     return estimate if np.ndim(estimate) else float(estimate)
 
 
-def pmf_at_time(k, m, plan, law, t):
-    """P(Z(t) = l) for l = 0..k+m, by inverting each PGF coefficient.
+def _poisson_weights(y):
+    """Yield the Poisson(y) weights e^{-y} y^j / j! for j = 0, 1, ...
 
-    One table build and one sweep evaluate the PMF at every contour node.
-    t = 0 is answered analytically (all mass at k).  The inverted vector is
-    renormalized when its total mass is within 1e-6 of one and rejected
-    otherwise.
+    Each is carried as frac 2^e with frac in [0.5, 1), so none underflows
+    on the way up from e^{-y}, which is e^{-y / 2^s} squared s times
+    (y / 2^s <= 512 is exact), and one step's rounding is relative: a
+    weight is off by ~1e-16 (y / 512 + sqrt(y)) relative, and their sum by
+    1.8e-15 at y = 297, where a running log weight carries j times the
+    rounding of log y and its sum is off by 1.8e-13.
+    """
+    squarings = max(0, ceil(log2(y / 512.0))) if y else 0
+    frac, power = frexp(exp(-ldexp(y, -squarings)))
+    for _ in range(squarings):
+        frac, shift = frexp(frac * frac)
+        power = 2 * power + shift
+    j = 0
+    while True:
+        yield ldexp(frac, power)
+        j += 1
+        frac, shift = frexp(frac * y / j)
+        power += shift
+
+
+def _uniformized(k, m, plan, law, t):
+    """x[ell, n, phase] at time t for phase-type service (module docstring).
+
+    The Poisson(q t) series runs to y + 9 sqrt(y) + 10 terms (y = q t; the
+    tail past them is under 1e-17), in one pass.  Every 8 steps the mass
+    off (0, 0) is summed directly; once it is below 1e-18 the remaining
+    Poisson weight goes to (0, 0), the limit of every later term, so late
+    times cost about as much as the time to empty.
+    """
+    if not 0 <= t < inf:
+        raise DomainError(f"time-domain answers require 0 <= t < inf, got t={t}")
+    start, sub = service.phase_type(law)
+    rates = np.r_[0.0, kernels.plan_rates(plan)[:m]]  # lambda_0 = 0
+    q = rates.max() + np.max(-np.diag(sub))
+    stay, arrive = (1.0 - rates / q)[:, None], rates[1:, None] / q
+    move = sub / q
+    restart = np.outer(-sub.sum(axis=1) / q, start)  # a completion, then alpha
+    x = np.zeros((k + m + 1, m + 1, len(start)))
+    x[k, m] = start
+    y = q * t
+    weights = _poisson_weights(y)
+    total = next(weights)
+    out = total * x
+    for j in range(1, ceil(y + 9.0 * sqrt(y) + 10.0)):
+        nxt = stay * x  # then phase moves, arrivals and completions
+        nxt[1:] += x[1:] @ move
+        nxt[1:, :-1] += arrive * x[:-1, 1:]
+        nxt[:-1] += x[1:] @ restart
+        x, weight = nxt, next(weights)
+        out += weight * x
+        total += weight
+        if j % 8 == 0 and x[1:].sum() + x[0, 1:].sum() < 1e-18:
+            out[0, 0] += (1.0 - total) * start
+            break
+    return out
+
+
+def pmf_at_time(k, m, plan, law, t):
+    """P(Z(t) = l) for l = 0..k+m.
+
+    t = 0 is answered analytically (all mass at k).  Phase-type service:
+    the uniformized chain's level sums, whose mass is one up to the 1e-17
+    Poisson tail and rounding.  Deterministic service: each PGF coefficient
+    inverted by Euler summation, from one table build and one sweep over
+    the contour nodes; the inverted vector is renormalized when its total
+    mass is within 1e-6 of one and rejected otherwise.  Other laws raise
+    UnsupportedTransform.
     """
     if t == 0:
         out = np.zeros(k + m + 1)
         out[k] = 1.0
         return out
+    if not isinstance(law, Deterministic):
+        return _uniformized(k, m, plan, law, t).sum(axis=(1, 2))
     raw = invert(
         lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0), t
     )
@@ -119,11 +196,23 @@ def pgf_at_time(k, m, plan, law, z, t):
 def workload_lst_at_time(k, m, plan, law, alpha, t):
     """E[e^{-alpha W(t)}] at real alpha >= 0.
 
-    The inversion keeps the real part of the transform only, which is the
-    whole value at real alpha alone, so complex alpha raises DomainError.
+    Phase-type service: with c >= 1 present in phase phi, the work left is
+    the residual service from phi plus c - 1 full services, so the value is
+    sum_n x[0, n] 1 + sum_{c >= 1} beta(alpha)^{c-1} sum_n x[c, n]
+    (alpha I - S)^{-1} s0 over the uniformized chain.  Deterministic
+    service: Euler inversion, which keeps the real part of the transform
+    only.  A complex or negative alpha raises DomainError.
     """
-    if np.imag(alpha) != 0:
-        raise DomainError("workload_lst_at_time requires a real alpha")
+    if np.imag(alpha) != 0 or not 0 <= np.real(alpha) < inf:
+        raise DomainError(f"workload_lst_at_time requires a real alpha >= 0, got {alpha}")
     if t == 0:
         return service.lst(law, alpha) ** k
-    return invert(lambda gamma: transient.workload_lst(k, m, plan, law, gamma, alpha), t)
+    if isinstance(law, Deterministic):
+        return invert(
+            lambda gamma: transient.workload_lst(k, m, plan, law, gamma, alpha), t
+        )
+    start, sub = service.phase_type(law)
+    residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, -sub.sum(axis=1))
+    levels = _uniformized(k, m, plan, law, t).sum(axis=1)
+    queued = service.lst(law, alpha) ** np.arange(k + m)
+    return float(levels[0].sum() + queued @ (levels[1:] @ residual))

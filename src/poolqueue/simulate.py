@@ -14,7 +14,9 @@ idle state (0, n) is stored as its mass times alpha: an arrival then moves
 every row (ell, n) to (ell+1, n-1) alike, a completion from ell >= 1 feeds
 ell-1 through s0 alpha, and only rows ell >= 1 take the phase moves of S.
 Its distribution at an exponential deadline (resolvent) follows by
-substitution, column by column; at a fixed time, by uniformization.
+substitution, column by column.  Its distribution at a fixed time is the
+uniformization that answers the time-domain queries (inversion), so for
+phase-type laws ctmc_at_time is that route itself, not a check of it.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +24,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from . import kernels, service
+from . import inversion, kernels, service
 from .errors import UnsupportedOracle, UnsupportedTransform
 
 __all__ = ["SimConfig", "SimReport", "simulate", "ctmc_resolvent", "ctmc_at_time"]
@@ -271,34 +273,8 @@ def ctmc_resolvent(k, m, plan, law, gamma):
 
 
 def ctmc_at_time(k, m, plan, law, t):
-    """Exact distribution of (Z, still-to-arrive) at time t, by uniformization.
-
-    With q the largest exit rate, one step x + x Q / q of the (ell, n,
-    phase) array is a few shifted slices.  The Poisson series is summed
-    over pieces with q dt <= 50, so that e^{-q dt} cannot underflow, each
-    stopped past its mean once the weight falls below 1e-18.
-    """
-    if not 0 <= t < inf:
-        raise ValueError("t must be nonnegative and finite")
-    start, sub, exit_ = _phases(law)
-    rates = np.r_[0.0, kernels.plan_rates(plan)[:m]]  # lambda_0 = 0
-    q = rates.max() + np.max(-np.diag(sub))
-    stay, arrive = (1.0 - rates / q)[:, None], rates[1:, None] / q
-    move, done = sub / q, exit_ / q
-    x = np.zeros((k + m + 1, m + 1, len(start)))
-    x[k, m] = start
-    pieces = int(np.ceil(q * t / 50.0))
-    for _ in range(pieces):
-        mean = q * t / pieces
-        weight = np.exp(-mean)
-        step, out, j = x, weight * x, 0
-        while j <= mean or weight >= 1e-18:
-            nxt = stay * step  # then phase moves, arrivals and completions
-            nxt[1:] += step[1:] @ move
-            nxt[1:, :-1] += arrive * step[:-1, 1:]
-            nxt[:-1] += (step[1:] @ done)[..., None] * start
-            step, j = nxt, j + 1
-            weight *= mean / j
-            out += weight * step
-        x = out
-    return x.sum(axis=2)
+    """Exact distribution of (Z, still-to-arrive) at time t, by
+    uniformization: the array P[ell, n] of inversion's uniformized chain,
+    summed over phases."""
+    _phases(law)  # UnsupportedOracle unless the law is phase-type
+    return inversion._uniformized(k, m, plan, law, t).sum(axis=2)

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -7,6 +9,16 @@ import pytest
 
 from poolqueue import inversion, kernels, service, simulate, transient
 from poolqueue.errors import ConvergenceWarning, DomainError
+
+
+def euler_pmf(k, m, plan, law, t):
+    """P(Z(t) = l) by Euler inversion of the deadline PMF, as it comes out
+    of invert: the inversion route on its own, whatever route pmf_at_time
+    takes for the law."""
+    return inversion.invert(
+        lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0), t
+    )
+
 
 # deadline-expectation transforms f^(gamma) = gamma * L f(gamma) with known
 # originals; the inverter divides by gamma internally
@@ -123,10 +135,14 @@ class TestInvert:
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
-        inversion.pmf_at_time(
-            2, 4, kernels.Constant(0.9, 4), service.Erlang(2, 2.0), 1.5
-        )
+        plan = kernels.Constant(0.9, 4)
+        euler_pmf(2, 4, plan, service.Erlang(2, 2.0), 1.5)
         assert calls == {"build_tables": 1, "sweep": 1}
+        # pmf_at_time inverts for Deterministic service only
+        inversion.pmf_at_time(2, 4, plan, service.Deterministic(0.8), 0.5)
+        assert calls == {"build_tables": 2, "sweep": 2}
+        inversion.pmf_at_time(2, 4, plan, service.Erlang(2, 2.0), 1.5)
+        assert calls == {"build_tables": 2, "sweep": 2}
 
     def test_config_validation(self):
         # the tolerance is the one setting: method and node counts are fixed
@@ -158,7 +174,7 @@ class TestPmfAtTime:
     def test_matches_uniformization(self, t):
         plan = kernels.Constant(1.0, 1)
         law = service.Exponential(1.0)
-        got = inversion.pmf_at_time(1, 1, plan, law, t)
+        got = euler_pmf(1, 1, plan, law, t)
         ref = simulate.ctmc_at_time(1, 1, plan, law, t).sum(axis=1)
         assert np.max(np.abs(got - ref)) < 1e-6
 
@@ -194,13 +210,14 @@ class TestPmfAtTime:
 
 class TestCrossCheckRegressions:
     """The check is Euler at a second node count: it stays quiet where the
-    answer is right and warns where it is not."""
+    answer is right and warns where it is not.  The phase-type cases call
+    the inversion directly, since pmf_at_time uniformizes for them."""
 
     def test_large_pool_late_time_is_quiet_and_right(self):
         plan, law = kernels.Constant(0.95, 40), service.Exponential(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            got = inversion.pmf_at_time(5, 40, plan, law, 40.0)
+            got = euler_pmf(5, 40, plan, law, 40.0)
         ref = simulate.ctmc_at_time(5, 40, plan, law, 40.0).sum(axis=1)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -209,7 +226,7 @@ class TestCrossCheckRegressions:
         plan, law = kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            got = inversion.pmf_at_time(2, 20, plan, law, 20.0)
+            got = euler_pmf(2, 20, plan, law, 20.0)
         ref = simulate.ctmc_at_time(2, 20, plan, law, 20.0).sum(axis=1)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -219,7 +236,7 @@ class TestCrossCheckRegressions:
         law = service.HyperExponential((0.4, 0.6), (1.0, 3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            got = inversion.pmf_at_time(3, 25, plan, law, 12.0)
+            got = euler_pmf(3, 25, plan, law, 12.0)
         ref = simulate.ctmc_at_time(3, 25, plan, law, 12.0).sum(axis=1)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -236,7 +253,7 @@ class TestCrossCheckRegressions:
         # the gap to Euler-40 is 7.2e-6
         plan, law = kernels.Constant(0.95, 60), service.Exponential(1.0)
         with pytest.warns(ConvergenceWarning, match="euler-32 and euler-40"):
-            got = inversion.pmf_at_time(5, 60, plan, law, 120.0)
+            got = euler_pmf(5, 60, plan, law, 120.0)
         ref = simulate.ctmc_at_time(5, 60, plan, law, 120.0).sum(axis=1)
         assert np.max(np.abs(got - ref)) > 1e-6
 
@@ -245,7 +262,7 @@ class TestCrossCheckRegressions:
         # Euler-32 is off by 1.4e-6 at t = 60 and 3.6e-4 at t = 120
         plan, law = kernels.Constant(0.95, 60), service.Erlang(4, 4.0)
         with pytest.warns(ConvergenceWarning, match="euler-32 and euler-40"):
-            got = inversion.pmf_at_time(5, 60, plan, law, t)
+            got = euler_pmf(5, 60, plan, law, t)
         ref = simulate.ctmc_at_time(5, 60, plan, law, t).sum(axis=1)
         assert np.max(np.abs(got - ref)) > 1e-6
 
@@ -264,7 +281,8 @@ class TestScalarWrappers:
         probs = inversion.pmf_at_time(1, 1, plan, law, t)
         direct = inversion.pgf_at_time(1, 1, plan, law, z, t)
         assert direct == pytest.approx(float(probs @ z ** np.arange(3)), abs=1e-8)
-        # The PGF is the renormalized PMF's polynomial, so its mass is 1.
+        # The PGF is the polynomial of the PMF that pmf_at_time returns, whose
+        # mass is 1.
         assert inversion.pgf_at_time(1, 1, plan, law, 1.0, t) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("z", [0.5 + 0.2j, -0.3 + 0.8j, 1j])
@@ -309,3 +327,137 @@ class TestScalarWrappers:
         vals = np.exp(-alpha * np.maximum(w, 0.0))
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - got) <= 4 * se
+
+
+PHASE_TYPE = [
+    service.Exponential(1.0),
+    service.Erlang(2, 2.0),
+    service.HyperExponential((0.4, 0.6), (1.0, 3.0)),
+]
+PHASE_TYPE_IDS = ["exp", "erlang2", "hyperexp"]
+
+
+class TestUniformizedRoute:
+    """Phase-type time-domain answers come from the uniformized chain."""
+
+    def test_never_inverts_phase_type(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inverted a phase-type law")
+
+        monkeypatch.setattr(inversion, "invert", refuse)
+        monkeypatch.setattr(transient, "pmf", refuse)
+        monkeypatch.setattr(transient, "workload_lst", refuse)
+        plan = kernels.Proportional(0.7, 4)
+        for law in PHASE_TYPE:
+            probs = inversion.pmf_at_time(2, 4, plan, law, 1.5)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-14)
+            assert inversion.pgf_at_time(2, 4, plan, law, 0.5, 1.5) == pytest.approx(
+                probs @ 0.5 ** np.arange(7), abs=1e-15
+            )
+            assert 0 < inversion.workload_lst_at_time(2, 4, plan, law, 0.7, 1.5) < 1
+
+    @pytest.mark.parametrize(
+        "k, m, plan, law, t",
+        [
+            # Euler-32 is off by 3.6e-4 here and warns
+            (5, 60, kernels.Constant(0.95, 60), service.Erlang(4, 4.0), 120.0),
+            (3, 25, kernels.Proportional(0.05, 25), PHASE_TYPE[2], 12.0),
+        ],
+        ids=["erlang4-m60-t120", "hyperexp-prop-m25-t12"],
+    )
+    def test_matches_monte_carlo(self, k, m, plan, law, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            probs = inversion.pmf_at_time(k, m, plan, law, t)
+        cfg = simulate.SimConfig(
+            k=k, m=m, plan=plan, law=law, times=(t,), replications=200_000, seed=17
+        )
+        estimates = simulate.simulate(cfg).time_pmf[t]
+        n = cfg.replications
+        for p, est in zip(probs, estimates):
+            # the standard error under the exact p: a level too rare to be
+            # hit then scores its own shortfall instead of dividing by zero
+            se = math.sqrt(p * (1.0 - p) / n)
+            assert abs(est.value - p) <= 4 * se + 1e-15
+
+    @pytest.mark.parametrize("law", PHASE_TYPE, ids=PHASE_TYPE_IDS)
+    @pytest.mark.parametrize("alpha", [0.7, 3.0])
+    @pytest.mark.parametrize("t", [1.0, 4.0, 12.0])
+    def test_workload_matches_euler(self, law, alpha, t):
+        plan = kernels.Constant(0.85, 20)
+        got = inversion.workload_lst_at_time(2, 20, plan, law, alpha, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            ref = inversion.invert(
+                lambda g: transient.workload_lst(2, 20, plan, law, g, alpha), t
+            )
+        assert abs(got - ref) <= 1e-9
+
+    def test_workload_at_zero_alpha_is_mass(self):
+        plan, law = kernels.Constant(0.85, 20), PHASE_TYPE[2]
+        got = inversion.workload_lst_at_time(2, 20, plan, law, 0.0, 4.0)
+        assert got == pytest.approx(1.0, abs=1e-14)
+        empty = inversion.workload_lst_at_time(0, 0, kernels.Constant(1.0, 0), law, 0.7, 4.0)
+        assert empty == 1.0
+
+    @pytest.mark.parametrize("t", [60.0, 120.0])
+    def test_large_pool_mass_and_sign(self, t):
+        plan, law = kernels.Constant(0.95, 60), service.Erlang(4, 4.0)
+        probs = inversion.pmf_at_time(5, 60, plan, law, t)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-13)
+        assert probs.min() >= 0.0
+
+    def test_very_late_time_is_an_empty_queue(self):
+        # the stationarity stop: without it the series has 3e12 terms
+        plan, law = kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
+        began = time.perf_counter()
+        probs = inversion.pmf_at_time(2, 20, plan, law, 1e12)
+        assert time.perf_counter() - began < 1.0
+        assert np.max(np.abs(probs - np.eye(23)[0])) <= 1e-15
+
+    def test_stop_waits_for_customers_yet_to_arrive(self):
+        # an arrival rate of 1e-25 leaves the served pool idle at (0, 1),
+        # not absorbed at (0, 0): the idle rows count as mass off (0, 0)
+        plan = kernels.General((1e-25,))
+        dist = simulate.ctmc_at_time(1, 1, plan, service.Exponential(1.0), 100.0)
+        assert dist[0, 1] == pytest.approx(1.0, abs=1e-15)
+        assert dist[0, 0] < 1e-20
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_bad_time_rejected(self, t):
+        plan = kernels.Constant(1.0, 3)
+        for law in (service.Erlang(2, 2.0), service.Deterministic(0.8)):
+            with pytest.raises(DomainError):
+                inversion.pmf_at_time(1, 3, plan, law, t)
+            with pytest.raises(DomainError):
+                inversion.pgf_at_time(1, 3, plan, law, 0.5, t)
+            with pytest.raises(DomainError):
+                inversion.workload_lst_at_time(1, 3, plan, law, 0.5, t)
+        with pytest.raises(DomainError):
+            simulate.ctmc_at_time(1, 3, plan, service.Erlang(2, 2.0), t)
+
+    def test_deterministic_route_is_euler(self):
+        # Deterministic service keeps the inverted and renormalized PMF
+        plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
+        raw = euler_pmf(1, 10, plan, law, 0.5)
+        got = inversion.pmf_at_time(1, 10, plan, law, 0.5)
+        assert np.array_equal(got, raw / raw.sum())
+        lst = inversion.invert(lambda g: transient.workload_lst(1, 10, plan, law, g, 0.7), 0.5)
+        assert inversion.workload_lst_at_time(1, 10, plan, law, 0.7, 0.5) == lst
+
+    @pytest.mark.parametrize("y", [0.0, 0.3, 5.7, 297.0, 5000.0, 123456.7])
+    def test_poisson_weights(self, y):
+        terms = math.ceil(y + 9.0 * math.sqrt(y) + 10.0)
+        weights = list(itertools.islice(inversion._poisson_weights(y), terms))
+        # each weight carries ~eps (y/512 + sqrt(y)) of relative rounding
+        assert math.fsum(weights) == pytest.approx(1.0, abs=2e-16 * (y / 512 + math.sqrt(y) + 10))
+        for j in range(min(terms, 60)):
+            exact = math.exp(-y + j * math.log(y) - math.lgamma(j + 1.0)) if y else float(j == 0)
+            assert weights[j] == pytest.approx(exact, rel=1e-12, abs=1e-300)
+        if y > 100:
+            mode = int(y)
+            # e^{-y} y^mode / mode! by Stirling's series, with no term of size y
+            log_mode = mode * math.log1p((y - mode) / mode) - (y - mode) - 0.5 * math.log(
+                2 * math.pi * mode
+            ) - 1.0 / (12 * mode) + 1.0 / (360 * mode**3)
+            assert weights[mode] == pytest.approx(math.exp(log_mode), rel=1e-13)
