@@ -17,10 +17,6 @@ class SingularityGuard(PoolQueueError):
     """Evaluation was requested too close to an excluded singular point."""
 
 
-class NormalizationError(PoolQueueError):
-    """An inverted probability vector deviated too far from total mass one."""
-
-
 class UnsupportedOracle(PoolQueueError):
     """An exact CTMC oracle was requested for a service law that is not
     phase-type (Deterministic or Pareto), so it has no finite chain."""

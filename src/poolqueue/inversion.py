@@ -11,26 +11,40 @@ feeds ell - 1 through s0 alpha, and only rows ell >= 1 take the phase
 moves of S.  One step is a few shifted slices.  (0, 0) absorbs, so once
 the mass off it is negligible the rest of the series is its limit.
 
-Deterministic service has no finite chain.  There the pipeline's
-expectations at an independent Exp(gamma) deadline, divided by gamma, are
-Laplace transforms (in gamma) of the functions of deterministic time, and
-Euler summation (binomial averaging of a trapezoidal Fourier series on a
-vertical Bromwich line) recovers the originals.  Following Abate and
-Whitt's unified framework, the method checks itself at a second precision
-setting: Euler with ANSWER_NODES gives the answer, Euler with CHECK_NODES
-the check.  The transform is evaluated at the nodes of both at once: the
-kernel tables and the sweep take the nodes as an array of killing rates, so
-a time point costs one table build and one sweep.
+Deterministic(d) service has no finite chain, but its queue length comes
+from the arrivals alone by the reflection map (Takacs, 1962; Prabhu,
+1998): with A(u) the arrivals by u and X(u) = d A(u) - u, the work present
+is W(t) = max(k d + X(t), sup_u (X(t) - X(u))) and Z(t) = ceil(W(t) / d).
+A is nondecreasing, so Z(t) <= l exactly when (A(t) + k - l) d <= t and
+A(t - (c + 1) d) >= A(t) - l - c at every grid point t - (c + 1) d >= 0.
+The outstanding count m - A is the pure-death chain of the kernels, so
+with delta = A(t) - l held as a row index the PMF takes one pass of its
+transition matrices e^{L tau}: over t - C d (C the number of grid points),
+then C times over d, each after zeroing the states that fail that grid
+point's bound.  Every term is a probability, and once the pool has
+drained no bound can fail, so the pass stops there.
+
+The Euler inversion (binomial averaging of a trapezoidal Fourier series on
+a vertical Bromwich line) remains for the Deterministic workload
+transform: the pipeline's expectations at an independent Exp(gamma)
+deadline, divided by gamma, are Laplace transforms (in gamma) of the
+functions of deterministic time.  Following Abate and Whitt's unified
+framework, the method checks itself at a second precision setting: Euler
+with ANSWER_NODES gives the answer, Euler with CHECK_NODES the check.  The
+transform is evaluated at the nodes of both at once: the kernel tables and
+the sweep take the nodes as an array of killing rates, so a time point
+costs one table build and one sweep.
 """
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, comb, exp, frexp, inf, ldexp, log2, sqrt
+from math import ceil, comb, exp, fmod, frexp, inf, ldexp, log2, sqrt
+from sys import float_info
 
 import numpy as np
 
 from . import kernels, service, transient
-from .errors import ConvergenceWarning, DomainError, NormalizationError
+from .errors import ConvergenceWarning, DomainError
 from .service import Deterministic
 
 __all__ = [
@@ -141,7 +155,8 @@ def _uniformized(k, m, plan, law, t):
     restart = np.outer(-sub.sum(axis=1) / q, start)  # a completion, then alpha
     x = np.zeros((k + m + 1, m + 1, len(start)))
     x[k, m] = start
-    y = q * t
+    # Past the largest float every weight has long underflowed to zero.
+    y = min(float(q) * t, float_info.max)
     weights = _poisson_weights(y)
     total = next(weights)
     out = total * x
@@ -159,32 +174,65 @@ def _uniformized(k, m, plan, law, t):
     return out
 
 
+def _grid(t, d):
+    """(C, t - C d), C the largest integer with C d <= t in floating point,
+    as _reflected's readout rounds it, so that at t = j d the departure at
+    j d has happened.  Past 2^52 steps the products no longer resolve d,
+    but the pass stops at the drain long before a bound can bind, so any
+    C that large serves, with t - C d taken exactly by fmod."""
+    steps = t // d
+    if steps >= 2.0**52:
+        return 2**62, fmod(t, d)
+    steps = int(steps)
+    while (steps + 1) * d <= t:
+        steps += 1
+    while steps * d > t:
+        steps -= 1
+    return steps, t - steps * d
+
+
+def _reflected(k, m, plan, d, t):
+    """P(Z(t) = l) for Deterministic(d) service by the reflection map
+    (module docstring).  Row delta of x holds P(the grid bounds so far
+    hold, outstanding count n) for A(t) - l = delta, on the rows the
+    readout bound (delta + k) d <= t admits; P(Z(t) <= l) is then the sum
+    of x[delta, n] over A = m - n = l + delta."""
+    if not 0 <= t < inf:
+        raise DomainError(f"time-domain answers require 0 <= t < inf, got t={t}")
+    steps, rest = _grid(t, d)
+    first, step = kernels._death_exponentials(plan, d, (rest, d))
+    arrived = m - np.arange(m + 1)  # A along the outstanding count n
+    deltas = np.arange(-(k + m), m + 1)
+    deltas = deltas[(deltas + k) * d <= t][:, None]
+    x = np.repeat(first[m:], len(deltas), axis=0)
+    for j in range(steps):
+        if x[:, 1:].sum() < 1e-18:
+            # Drained: A stays put and the bounds only tighten, to A >= delta.
+            x *= arrived >= deltas
+            break
+        x *= arrived >= deltas - (steps - 1 - j)  # the bound at t - (C - j) d
+        x = x @ step
+    levels = arrived - deltas
+    held = (levels >= 0) & (levels <= k + m)
+    return np.diff(np.bincount(levels[held], x[held], minlength=k + m + 1), prepend=0.0)
+
+
 def pmf_at_time(k, m, plan, law, t):
     """P(Z(t) = l) for l = 0..k+m.
 
     t = 0 is answered analytically (all mass at k).  Phase-type service:
-    the uniformized chain's level sums, whose mass is one up to the 1e-17
-    Poisson tail and rounding.  Deterministic service: each PGF coefficient
-    inverted by Euler summation, from one table build and one sweep over
-    the contour nodes; the inverted vector is renormalized when its total
-    mass is within 1e-6 of one and rejected otherwise.  Other laws raise
-    UnsupportedTransform.
+    the uniformized chain's level sums.  Deterministic service: the
+    reflection map's pass over the arrival chain.  Either way the mass is
+    one up to a 1e-17 truncation and rounding, with no entry negative.
+    Other laws raise UnsupportedTransform.
     """
     if t == 0:
         out = np.zeros(k + m + 1)
         out[k] = 1.0
         return out
-    if not isinstance(law, Deterministic):
-        return _uniformized(k, m, plan, law, t).sum(axis=(1, 2))
-    raw = invert(
-        lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0), t
-    )
-    total = raw.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise NormalizationError(
-            f"inverted pmf mass {total} deviates from 1 beyond 1e-6"
-        )
-    return raw / total
+    if isinstance(law, Deterministic):
+        return _reflected(k, m, plan, law.value, t)
+    return _uniformized(k, m, plan, law, t).sum(axis=(1, 2))
 
 
 def pgf_at_time(k, m, plan, law, z, t):

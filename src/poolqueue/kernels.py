@@ -142,20 +142,46 @@ def _kill_integrals(x, y, w):
     return g.reshape(shape)
 
 
-def _deterministic_tables(plan, d, gamma, alpha, scale):
-    """u = e^{(L - gamma) d} and scale r(alpha), with r(alpha) the integral
-    of e^{(L - gamma) t} e^{-alpha (d - t)} over [0, d], as power series in
-    P = I + L/q, q = max(lambda_max, 1/d) and y = q d: u = e^{-gamma d} E
-    for the gamma-free E = sum_j e^{-y} y^j/j! P^j = e^{L d}, and
-    r = sum_j d e^{-alpha d} G_j P^j with x = (q + gamma - alpha) d.  Terms
-    past y + 9 sqrt(y) + 10 carry under 1e-17 of Poisson(y), which bounds
-    both tails; the count depends on y alone, so nodes do not mix."""
+def _death_poisson(plan, d, taus):
+    """(lams, q, y, w): the death rates (0, lambda_1, ..., lambda_m),
+    q = max(lambda_max, 1/d), y = q d and, per time tau in [0, d] of taus,
+    the Poisson(q tau) weights w[i, j] with e^{L tau} = sum_j w[i, j] P^j.
+    Terms past y + 9 sqrt(y) + 10 carry under 1e-17 of Poisson(y), the
+    widest of them, so one count serves every tau."""
     lams = np.concatenate(([0.0], plan_rates(plan)))
     q, y = max(lams.max(), 1.0 / d), max(lams.max() * d, 1.0)
     terms = np.arange(ceil(y + 9.0 * sqrt(y) + 10.0))
-    poisson = np.exp(terms * log(y) - y - np.array([lgamma(j + 1.0) for j in terms]))
-    # Rounding in j log(y) would leave the sum off by ~1e-13 at y ~ 1000.
-    poisson /= poisson.sum()
+    log_factorials = np.array([lgamma(j + 1.0) for j in terms])
+    weights = np.zeros((len(taus), len(terms)))
+    weights[:, 0] = 1.0  # e^{L 0} = I
+    for row, tau in zip(weights, taus):
+        if tau > 0:
+            y_tau = y * (tau / d)
+            row[:] = np.exp(terms * log(y_tau) - y_tau - log_factorials)
+            # Rounding in j log(y) would leave the sum off by ~1e-13 at y ~ 1000.
+            row /= row.sum()
+    return lams, q, y, weights
+
+
+def _death_exponentials(plan, d, taus):
+    """e^{L tau} for each tau in [0, d] of taus, stacked on the first axis:
+    the law after tau of the outstanding count, as a matrix [n, n'].
+    n = 0 absorbs: its row is set to e_0, where the series would leave the
+    weights' rounding, which repeated steps would add up."""
+    lams, q, _, weights = _death_poisson(plan, d, taus)
+    out = _death_series(lams, q, weights)[0]
+    out[:, 0, 0] = 1.0
+    return out
+
+
+def _deterministic_tables(plan, d, gamma, alpha, scale):
+    """u = e^{(L - gamma) d} and scale r(alpha), with r(alpha) the integral
+    of e^{(L - gamma) t} e^{-alpha (d - t)} over [0, d], as power series in
+    P = I + L/q (see _death_poisson): u = e^{-gamma d} E for the gamma-free
+    E = sum_j e^{-y} y^j/j! P^j = e^{L d}, and r = sum_j d e^{-alpha d} G_j
+    P^j with x = (q + gamma - alpha) d.  The term count bounds both tails
+    and depends on y alone, so nodes do not mix."""
+    lams, q, y, (poisson,) = _death_poisson(plan, d, (d,))
     gammas = np.asarray(gamma)
     g = _kill_integrals(
         y + (gammas - alpha) * d, y, poisson * np.exp((alpha - gammas) * d)[..., None]

@@ -138,9 +138,10 @@ class TestInvert:
         plan = kernels.Constant(0.9, 4)
         euler_pmf(2, 4, plan, service.Erlang(2, 2.0), 1.5)
         assert calls == {"build_tables": 1, "sweep": 1}
-        # pmf_at_time inverts for Deterministic service only
-        inversion.pmf_at_time(2, 4, plan, service.Deterministic(0.8), 0.5)
+        euler_pmf(2, 4, plan, service.Deterministic(0.8), 0.5)
         assert calls == {"build_tables": 2, "sweep": 2}
+        # pmf_at_time never inverts
+        inversion.pmf_at_time(2, 4, plan, service.Deterministic(0.8), 0.5)
         inversion.pmf_at_time(2, 4, plan, service.Erlang(2, 2.0), 1.5)
         assert calls == {"build_tables": 2, "sweep": 2}
 
@@ -203,15 +204,13 @@ class TestPmfAtTime:
         # a deterministic departure epoch makes P(Z(t)=l) jump in t, which
         # the cross-check at a second node count reports rather than hiding
         with pytest.warns(ConvergenceWarning):
-            inversion.pmf_at_time(
-                1, 1, kernels.Constant(1.0, 1), service.Deterministic(0.8), 1.3
-            )
+            euler_pmf(1, 1, kernels.Constant(1.0, 1), service.Deterministic(0.8), 1.3)
 
 
 class TestCrossCheckRegressions:
     """The check is Euler at a second node count: it stays quiet where the
-    answer is right and warns where it is not.  The phase-type cases call
-    the inversion directly, since pmf_at_time uniformizes for them."""
+    answer is right and warns where it is not.  Every case calls the
+    inversion directly, since pmf_at_time never inverts."""
 
     def test_large_pool_late_time_is_quiet_and_right(self):
         plan, law = kernels.Constant(0.95, 40), service.Exponential(1.0)
@@ -244,9 +243,9 @@ class TestCrossCheckRegressions:
         plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            inversion.pmf_at_time(1, 10, plan, law, 0.5)
+            euler_pmf(1, 10, plan, law, 0.5)
         with pytest.warns(ConvergenceWarning, match="euler-32 and euler-40"):
-            inversion.pmf_at_time(1, 10, plan, law, 2.0)
+            euler_pmf(1, 10, plan, law, 2.0)
 
     def test_large_pool_very_late_time_warns(self):
         # Euler-32 is off by 6.9e-6 here against simulate.ctmc_at_time and
@@ -436,12 +435,22 @@ class TestUniformizedRoute:
         with pytest.raises(DomainError):
             simulate.ctmc_at_time(1, 3, plan, service.Erlang(2, 2.0), t)
 
-    def test_deterministic_route_is_euler(self):
-        # Deterministic service keeps the inverted and renormalized PMF
+    def test_deterministic_route_is_euler(self, monkeypatch):
+        # Deterministic service: the PMF comes from the reflection map, with
+        # no inversion, table or sweep; the workload transform is inverted
         plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
-        raw = euler_pmf(1, 10, plan, law, 0.5)
-        got = inversion.pmf_at_time(1, 10, plan, law, 0.5)
-        assert np.array_equal(got, raw / raw.sum())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Deterministic PMF took the transform route")
+
+        with monkeypatch.context() as patch:
+            for owner, name in ((inversion, "invert"), (kernels, "kernel_rows"), (transient, "sweep")):
+                patch.setattr(owner, name, refuse)
+            probs = inversion.pmf_at_time(1, 10, plan, law, 0.5)
+            assert inversion.pgf_at_time(1, 10, plan, law, 0.5, 0.5) == pytest.approx(
+                probs @ 0.5 ** np.arange(12), abs=1e-15
+            )
+        assert probs.sum() == pytest.approx(1.0, abs=1e-14)
         lst = inversion.invert(lambda g: transient.workload_lst(1, 10, plan, law, g, 0.7), 0.5)
         assert inversion.workload_lst_at_time(1, 10, plan, law, 0.7, 0.5) == lst
 
@@ -461,3 +470,131 @@ class TestUniformizedRoute:
                 2 * math.pi * mode
             ) - 1.0 / (12 * mode) + 1.0 / (360 * mode**3)
             assert weights[mode] == pytest.approx(math.exp(log_mode), rel=1e-13)
+
+
+REFLECTION_CASES = [
+    (1, 10, kernels.Constant(1.25, 10), service.Deterministic(0.8)),
+    (0, 8, kernels.Constant(1.0, 8), service.Deterministic(1.0)),
+    (3, 12, kernels.Proportional(0.3, 12), service.Deterministic(1.3)),
+    (2, 0, kernels.Constant(1.0, 0), service.Deterministic(0.8)),
+]
+REFLECTION_IDS = ["k1-const", "k0-const", "k3-prop", "no-pool"]
+
+
+class TestReflectionRoute:
+    """Deterministic time-domain PMFs come from the reflection map."""
+
+    @pytest.mark.parametrize("k, m, plan, law", REFLECTION_CASES, ids=REFLECTION_IDS)
+    def test_laplace_transform_is_the_deadline_pmf(self, k, m, plan, law):
+        # gamma * int e^{-gamma t} P(Z(t) = l) dt = P(Z(T) = l) at T ~ Exp(gamma),
+        # by 24-point Gauss-Legendre between the jumps at multiples of d; past
+        # t = 30 the queue is empty but for e^{-30}
+        gamma, d = 1.0, law.value
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        pieces = math.ceil(30.0 / d)
+        got = math.exp(-gamma * pieces * d) * np.eye(k + m + 1)[0]
+        for j in range(pieces):
+            for node, weight in zip(nodes, weights):
+                t = (j + 0.5 + 0.5 * node) * d
+                probs = inversion.pmf_at_time(k, m, plan, law, t)
+                got += 0.5 * d * weight * gamma * math.exp(-gamma * t) * probs
+        want = transient.pmf(k, m, plan, law, gamma)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "k, plan",
+        [(1, kernels.Constant(1.25, 10)), (2, kernels.Proportional(0.3, 10))],
+        ids=["k1-const", "k2-prop"],
+    )
+    def test_matches_monte_carlo(self, k, plan):
+        # Euler scored |z| of 23-442 on such runs
+        law, times = service.Deterministic(0.8), (0.5, 2.0, 8.0, 12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            probs = {t: inversion.pmf_at_time(k, 10, plan, law, t) for t in times}
+        cfg = simulate.SimConfig(
+            k=k, m=10, plan=plan, law=law, times=times, replications=400_000, seed=17
+        )
+        report = simulate.simulate(cfg)
+        for t in times:
+            for p, est in zip(probs[t], report.time_pmf[t]):
+                se = math.sqrt(p * (1.0 - p) / cfg.replications)
+                assert abs(est.value - p) <= 4 * se + 1e-15
+
+    def test_matches_euler_before_first_departure(self):
+        # before t = d the law is smooth in t and Euler's check is quiet
+        plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            ref = euler_pmf(1, 10, plan, law, 0.5)
+        got = inversion.pmf_at_time(1, 10, plan, law, 0.5)
+        assert np.max(np.abs(got - ref)) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "k, m, plan",
+        [(1, 10, kernels.Constant(1.25, 10)), (0, 8, kernels.Constant(1.0, 8))],
+        ids=["k1", "k0"],
+    )
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_grid_point_counts_its_departure(self, k, m, plan, j):
+        # a departure at t counts at t, as the simulator counts it; at
+        # d = 0.7 the quotient (3 * d) / d rounds below 3
+        d = 0.7
+        assert math.floor(3 * d / d) == 2
+        law = service.Deterministic(d)
+        at = inversion.pmf_at_time(k, m, plan, law, j * d)
+        after = inversion.pmf_at_time(k, m, plan, law, j * d + 1e-9)
+        assert np.max(np.abs(at - after)) <= 1e-8
+        if k:
+            # the initial customer's departures make the law jump at j d
+            before = inversion.pmf_at_time(k, m, plan, law, j * d - 1e-9)
+            assert np.max(np.abs(at - before)) > 1e-3
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_before_first_departure_is_the_arrival_count(self, k):
+        # nobody can leave before d: Z(t) = k + A(t), A(t) ~ Poisson(lam t)
+        # stopped at m
+        lam, m, t = 1.25, 10, 0.5
+        got = inversion.pmf_at_time(k, m, kernels.Constant(lam, m), service.Deterministic(0.8), t)
+        arrivals = [math.exp(-lam * t) * (lam * t) ** a / math.factorial(a) for a in range(m)]
+        want = np.r_[np.zeros(k), arrivals, 1.0 - math.fsum(arrivals)]
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_no_pool_is_a_clock(self, k):
+        # with m = 0 the k initial customers leave at d, 2d, ..., kd
+        d = 0.7
+        law, plan = service.Deterministic(d), kernels.Constant(1.0, 0)
+        for t in (0.3, d, 1.5, 2 * d, 3 * d, 3 * d + 0.1, 10.0):
+            left = k - sum(j * d <= t for j in range(1, k + 1))
+            got = inversion.pmf_at_time(k, 0, plan, law, t)
+            assert np.array_equal(got, np.eye(k + 1)[left])
+
+    def test_very_late_time_is_an_empty_queue(self):
+        # the stationarity stop: without it the pass takes 1.25e6 steps; the
+        # ~50 it takes each round every entry, five ulps of one here
+        plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
+        began = time.perf_counter()
+        probs = inversion.pmf_at_time(1, 10, plan, law, 1e6)
+        assert time.perf_counter() - began < 1.0
+        assert np.max(np.abs(probs - np.eye(12)[0])) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "law", [service.Exponential(1.0), service.Deterministic(0.8)], ids=["exp", "det"]
+    )
+    def test_largest_times_do_not_overflow(self, law):
+        # q t overflows at 1e308, and so does t / d at d < 1
+        plan = kernels.Constant(1.0, 1)
+        for t in (1e300, 1e308):
+            assert np.max(np.abs(inversion.pmf_at_time(1, 1, plan, law, t) - [1, 0, 0])) <= 1e-15
+        if isinstance(law, service.Deterministic):
+            probs = inversion.pmf_at_time(1, 1, plan, service.Deterministic(0.25), 1e308)
+            assert np.max(np.abs(probs - [1, 0, 0])) <= 1e-15
+
+    @pytest.mark.parametrize("k, m, plan, law", REFLECTION_CASES, ids=REFLECTION_IDS)
+    def test_mass_and_sign(self, k, m, plan, law):
+        d = law.value
+        for t in (0.3, d, 2.5 * d, 7 * d, 20.0, 60.0):
+            probs = inversion.pmf_at_time(k, m, plan, law, t)
+            assert abs(probs.sum() - 1.0) <= 1e-14
+            assert probs.min() >= 0.0

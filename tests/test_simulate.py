@@ -48,7 +48,8 @@ def reference_replay(config, rng, n_rep):
 
 def replay(config, rng, n_rep):
     """(arrival, start, depart), replication-major, from _draw and _fifo."""
-    arrivals, services = simulate._draw(config, rng, n_rep)
+    gaps, services = simulate._draw(config, rng, n_rep)
+    arrivals = np.cumsum(gaps, axis=1)
     start, depart = simulate._fifo(config.k, arrivals.T, services.T)
     return np.hstack([np.zeros((n_rep, config.k)), arrivals]), start.T, depart.T
 
@@ -303,9 +304,9 @@ class TestSimulate:
         # those of rng.exponential, services and kill times included
         cfg = config(k=2, m=6, plan=kernels.Proportional(0.4, 6), law=law)
         rng, ref = simulate._chunk_rng(3, 1), simulate._chunk_rng(3, 1)
-        arrivals, services = simulate._draw(cfg, rng, 3000)
-        gaps = ref.exponential(1.0 / kernels.plan_rates(cfg.plan)[::-1], size=(3000, 6))
-        assert np.array_equal(arrivals, np.cumsum(gaps, axis=1))
+        gaps, services = simulate._draw(cfg, rng, 3000)
+        want = ref.exponential(1.0 / kernels.plan_rates(cfg.plan)[::-1], size=(3000, 6))
+        assert np.array_equal(gaps, want)
         assert np.array_equal(services, service.sample(law, ref, size=(3000, 8)))
         assert np.array_equal(rng.exponential(1 / 0.7, 3000), ref.exponential(1 / 0.7, 3000))
 
@@ -344,6 +345,29 @@ class TestSimulate:
         assert len(got.waiting_means) == k + m
         for x, y in zip(got.waiting_means, want.waiting_means):
             assert x.value == pytest.approx(y.value, rel=1e-12, abs=1e-12)
+
+    def test_fixed_seed_report_is_pinned(self):
+        # Every estimate of this fixed-seed run, as the draws, the replay and
+        # the tallies make it, bit for bit: a change of layout or of the
+        # order of the sums must not move a single value.
+        cfg = config(
+            k=2, m=5, plan=kernels.Proportional(0.6, 5), law=service.Deterministic(0.8),
+            gamma=0.9, times=(3.0,), alpha_grid=(0.5,), tail_points=((4, 0.4),),
+            replications=5000, seed=9,
+        )
+        report = simulate.simulate(cfg)
+        assert [e.value for e in report.waiting_means] == [
+            0.0, 0.8000000000000002, 1.2702428633399951, 1.665359198204354,
+            1.9269454696293193, 1.959888721762906, 1.4616482944886164,
+        ]
+        assert report.workload_lst[0.5].value == 0.3781095294355395
+        assert report.waiting_tail[4, 0.4].value == 0.9748
+        assert [e.value for e in report.time_pmf[3.0]] == [
+            0.0032, 0.0274, 0.1496, 0.4166, 0.4032, 0.0, 0.0, 0.0
+        ]
+        assert [e.value for e in report.kill_pmf] == [
+            0.0084, 0.029, 0.306, 0.3236, 0.227, 0.0914, 0.0142, 0.0004
+        ]
 
     def test_deterministic_initial_waits_exact(self):
         # initial customer j waits exactly (j - 1) 0.8 in every replication

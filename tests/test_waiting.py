@@ -113,7 +113,8 @@ class TestWaitingLst:
         squares = np.zeros_like(sums)
         n_rep, chunks = 50_000, 4
         for chunk in range(chunks):
-            arrivals, services = simulate._draw(config, simulate._chunk_rng(seed, chunk), n_rep)
+            gaps, services = simulate._draw(config, simulate._chunk_rng(seed, chunk), n_rep)
+            arrivals = np.cumsum(gaps, axis=1)
             start, _ = simulate._fifo(k, arrivals.T, services.T)
             start[k:] -= arrivals.T  # now the waiting times, customer-major
             for row, alpha in enumerate(alphas):
