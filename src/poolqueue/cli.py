@@ -297,11 +297,10 @@ def cmd_waiting(settings):
     k, m, plan, law = settings.model()
     js = settings.get("j", range(1, k + m + 1))
     alphas = settings.get("alpha", [])
-    rhos = waiting.emptiness_probs(k, m, plan, law)
     header = ["j", "mean"] + [f"lst_alpha_{format_number(a)}" for a in alphas]
     rows = []
     for j in js:
-        row = [j, waiting.waiting_mean(j, k, m, plan, law, rhos=rhos)]
+        row = [j, waiting.waiting_mean(j, k, m, plan, law)]
         row += [waiting.waiting_lst(j, a, k, m, plan, law) for a in alphas]
         rows.append(row)
     emit(settings, header, rows)
@@ -420,11 +419,10 @@ def cmd_validate(settings):
     checks.append(("pmf_vs_monte_carlo_4se", worst, worst <= 4.0))
 
     if m:
-        rhos = waiting.emptiness_probs(k, m, plan, law)
         worst = 0.0
         for j in range(1, k + m + 1):
             est = report.waiting_means[j - 1]
-            mean_j = waiting.waiting_mean(j, k, m, plan, law, rhos=rhos)
+            mean_j = waiting.waiting_mean(j, k, m, plan, law)
             se = max(est.stderr, 1e-12)
             worst = max(worst, abs(est.value - mean_j) / se)
         worst = sidak_deviate(worst, k + m)

@@ -28,7 +28,9 @@ one of two ways, neither of which forms alternating sums that grow with m:
 kernel_rows returns u together with a multiple of the gamma-free kill
 kernel r(a), whose entries also carry E[e^{-a R}] of the residual service R
 at the kill (the factor e^{-a (d - t)} for Deterministic): v = gamma r(0),
-and the waiting-time transforms read r(a) at gamma = 0.
+and the Deterministic waiting-time transforms read r(a) at gamma = 0.  The
+phase-type ones need no a: they sweep the phase vectors x_i themselves
+(_phase_tables with the columns [s0 | I], see waiting).
 
 gamma may be a 1-D array of killing rates, the nodes of an inversion
 contour: both matrices then carry the node axis first, and each node is
@@ -44,6 +46,7 @@ import numpy as np
 import scipy.special  # noqa: F401
 
 from . import service
+from .errors import DomainError
 from .service import Deterministic
 
 __all__ = [
@@ -149,7 +152,10 @@ def _death_poisson(plan, d, taus):
     Terms past y + 9 sqrt(y) + 10 carry under 1e-17 of Poisson(y), the
     widest of them, so one count serves every tau."""
     lams = np.concatenate(([0.0], plan_rates(plan)))
-    q, y = max(lams.max(), 1.0 / d), max(lams.max() * d, 1.0)
+    top = float(lams.max())
+    q, y = max(top, 1.0 / d), max(top * d, 1.0)
+    if not y < inf:
+        raise DomainError(f"lambda_max * d = {top:g} * {d:g} is not finite")
     terms = np.arange(ceil(y + 9.0 * sqrt(y) + 10.0))
     log_factorials = np.array([lgamma(j + 1.0) for j in terms])
     weights = np.zeros((len(taus), len(terms)))

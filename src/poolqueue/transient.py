@@ -17,9 +17,9 @@ A kill that leaves c >= 1 present leaves the residual service plus c - 1
 full services, so with the v-kernel replaced by its workload-extended
 version the row sums weighted by beta(alpha)^{c-1} give the joint
 transform E[z^{Z} e^{-alpha W}] of queue length and remaining work.  Run
-at gamma = 0 with the residual-service kernel, the same weights and the
-arrival rate lambda_{n'} give every arriving customer's waiting-time
-transform (waiting).
+at gamma = 0, with the service phase on a last axis of the deposit, the
+same weights and the arrival rate lambda_{n'} give every arriving
+customer's waiting-time transform at every alpha (waiting).
 """
 
 from dataclasses import dataclass
@@ -93,14 +93,23 @@ def sweep(k, m, plan, gamma, u, v):
     deadline joint is the law of (Z(T), N(T)).  At gamma = 0 nothing is
     killed, so empty[s] is the probability that the system is empty just
     after departure k + m - s.
+
+    v may carry a trailing phase axis, v[..., n, n', phi], such as the
+    phase vectors x_i of the kernel recursion; joint[..., c, n', phi] then
+    carries it too, in the same pass.  Its row c = 0, where nobody is in
+    service, is left zero.
     """
     size = m + 1
     batch = np.shape(gamma)
+    phases = np.shape(v)[len(batch) + 2 :]
+    width = int(np.prod(phases))
     dtype = np.result_type(gamma, u, v)
-    step, deposit = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
+    step = u.astype(dtype, copy=False)
+    deposit = v.astype(dtype, copy=False).reshape(batch + (size, size * width))
     # Each node's vectors are 1-row matrices, so that one matmul steps them
-    # all; joint is kept flat, its entry (c, n') at c * size + n'.
-    joint = np.zeros(batch + (1, (k + m + 1) * size), dtype=dtype)
+    # all; joint is kept flat, its entry (c, n') at c * size + n', with the
+    # phases (if any) on a last axis.
+    joint = np.zeros(batch + (1, (k + m + 1) * size, width), dtype=dtype)
     empty = np.zeros(batch + (1, size), dtype=dtype)
     mass = np.zeros(batch + (1, size), dtype=dtype)
     mass[..., m] = 1.0
@@ -116,18 +125,21 @@ def sweep(k, m, plan, gamma, u, v):
         # States with l >= 1 on this diagonal: n = 0..top, l = s..s-top.
         top = min(s - 1, m)
         busy = mass[..., : top + 1]
-        killed = busy @ deposit[..., : top + 1, : top + 1]
+        killed = busy @ deposit[..., : top + 1, : (top + 1) * width]
         # (s - n', n') sits at flat index s * size - n' * m: n' = top..0 is
         # one stride-m slice, which no other diagonal writes.
         flat = s * size
-        joint[..., flat - top * m : flat + 1 : max(m, 1)] = killed[..., ::-1]
+        joint[..., flat - top * m : flat + 1 : max(m, 1), :] = killed.reshape(
+            batch + (1, top + 1, width)
+        )[..., ::-1, :]
         mass = np.zeros(batch + (1, size), dtype=dtype)
         mass[..., : top + 1] = busy @ step[..., : top + 1, : top + 1]
-    joint = joint.reshape(batch + (k + m + 1, size))
-    # The kills at (0, s), and (0, 0): nobody present and nobody left to arrive.
-    joint[..., 0, 1:] = (kill * empty[..., 1:])[..., 0, :]
+    joint = joint.reshape(batch + (k + m + 1, size) + phases)
     empty[..., 0] = mass[..., 0]
-    joint[..., 0, 0] = mass[..., 0, 0]
+    if not phases:
+        # The kills at (0, s), and (0, 0): nobody present and nobody left to arrive.
+        joint[..., 0, 1:] = (kill * empty[..., 1:])[..., 0, :]
+        joint[..., 0, 0] = mass[..., 0, 0]
     return joint, empty[..., 0, :]
 
 

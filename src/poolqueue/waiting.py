@@ -10,16 +10,30 @@ full services.  Both cases are read off the forward diagonal sweep of the
 embedded departure chain that gives the queue-length PGF
 (transient.sweep), run at gamma = 0 so that no mass is lost to a
 deadline: the mass on the empty state (0, n'), and the column n' of its
-joint table, weighted by beta(alpha)^{c-1} on row c.
+joint table.
+
+For phase-type service (alpha, S) with exit vector s0, the residual of a
+service that is in phase phi is PH(e_phi, S), so the sweep needs no alpha:
+its deposit rows are the phase vectors x_i of the kernel recursion, and
+joint[c, n', phi] is the expected time spent with c present, n' still to
+arrive and the service in phase phi.  Then
+
+    E[e^{-a W_j}] = empty[n'] + lambda_{n'} sum_c beta(a)^{c-1} joint[c, n', .] (aI - S)^{-1} s0
+
+at every a.  One kernel build and one sweep per model, cached (_record),
+give the emptiness probabilities, the means and the transform at any a.
+A Deterministic residual has no finite phase set, so its transform sweeps
+once per a with the residual kernel r(a) as the deposit.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels, service, transient
 from .errors import DomainError
-from .service import Pareto
+from .service import Deterministic, Pareto
 
 __all__ = [
     "emptiness_probs",
@@ -29,35 +43,77 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class _Record:
+    """Everything about the waiting times of one model, read-only: empty[n'],
+    the mass on the empty state (0, n'); joint[c, n', phi] (None under
+    Deterministic service); and means[j - 1] = E[W_j]."""
+
+    empty: np.ndarray
+    joint: np.ndarray
+    means: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _record(k, m, plan, law):
+    """The waiting-time record of one model from one gamma = 0 kernel build
+    and one sweep.  The means are the closed form (j - 1) E[B] corrected by
+    the interarrival gaps actually waited out, sum_{h <= j} (rho_h - 1) /
+    lambda; each term is applied to every later customer in the order a
+    loop over one customer's terms takes, so each mean is that loop's."""
+    if isinstance(law, Deterministic):
+        tables = kernels.build_tables(plan, law, 0.0)
+        _, empty = transient.sweep(k, m, plan, 0.0, tables.u, tables.v)
+        joint = None
+    else:
+        start, sub = service.phase_type(law)
+        cols = np.column_stack((-sub.sum(axis=1), np.eye(len(start))))
+        u, *phases = kernels._phase_tables(plan, start, sub, 0.0, cols)
+        joint, empty = transient.sweep(k, m, plan, 0.0, u, np.stack(phases, axis=-1))
+    rates, rhos = kernels.plan_rates(plan), empty[m:0:-1]
+    means = np.arange(k + m) * service.mean(law)
+    arriving = means[k:]
+    for i in range(m):
+        arriving[i:] -= 1.0 / rates[m - 1 - i]
+    for i in range(m):
+        arriving[i:] += rhos[i] / rates[m - 1 - i]
+    for array in (empty, joint, means):
+        if array is not None:
+            array.setflags(write=False)
+    return _Record(empty, joint, means)
+
+
 def emptiness_probs(k, m, plan, law):
     """P(customer h finds the system empty), for h = k+1 .. k+m.
 
     Equals the probability that nobody is present just after departure h-1,
     which is the mass the gamma = 0 sweep puts on the empty state (0, s)
-    of diagonal s = k + m - (h - 1).
+    of diagonal s = k + m - (h - 1).  Read-only, from the model's record.
     """
-    if m == 0:
-        return np.zeros(0)
-    tables = kernels.build_tables(plan, law, 0.0)
-    _, empty = transient.sweep(k, m, plan, 0.0, tables.u, tables.v)
-    return empty[m:0:-1]
+    return _record(k, m, plan, law).empty[m:0:-1]
 
 
 @lru_cache(maxsize=128)
 def _waiting_lsts(alpha, k, m, plan, law):
-    """E[e^{-alpha W_j}] for j = 1..k+m, read-only, from one gamma = 0 sweep.
+    """E[e^{-alpha W_j}] for j = 1..k+m, read-only.
 
-    Swept with the residual-service kernel r(alpha), joint[c, n'] is the
-    transform of the residual service at the moment the count still to
-    arrive is n' and c are present, integrated over time; the arrival at
+    residual[c, n'] (the record's joint times (alpha I - S)^{-1} s0, or
+    under Deterministic service the sweep of the residual kernel r(alpha))
+    is the transform of the residual service at the moment the count still
+    to arrive is n' and c are present, integrated over time; the arrival at
     rate lambda_{n'} then waits that residual and c - 1 full services.
     Adding the mass on the empty state (0, n') gives the customer's LST.
     """
-    u, residual = kernels.kernel_rows(plan, law, 0.0, alpha, 1.0)
-    joint, empty = transient.sweep(k, m, plan, 0.0, u, residual)
+    record = _record(k, m, plan, law)
+    if isinstance(law, Deterministic):
+        u, deposit = kernels.kernel_rows(plan, law, 0.0, alpha, 1.0)
+        residual, _ = transient.sweep(k, m, plan, 0.0, u, deposit)
+    else:
+        _, sub = service.phase_type(law)
+        residual = record.joint @ np.linalg.solve(alpha * np.eye(len(sub)) - sub, -sub.sum(axis=1))
     powers = service.lst(law, alpha) ** np.arange(k + m)
     lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
-    arriving = empty + lams * (powers @ joint[1:])
+    arriving = record.empty + lams * (powers @ residual[1:])
     lsts = np.concatenate((powers[:k], arriving[m:0:-1]))
     lsts.setflags(write=False)
     return lsts
@@ -66,9 +122,9 @@ def _waiting_lsts(alpha, k, m, plan, law):
 def waiting_lst(j, alpha, k, m, plan, law, rhos=None):
     """E[e^{-alpha W_j}] for customer j in service order.
 
-    One gamma = 0 sweep per (alpha, k, m, plan, law), cached, gives every
-    customer's transform and supplies the zero-wait term itself, so rhos
-    (the emptiness_probs the callers pass) is not needed.
+    Every customer's transform at one alpha is a projection of the model's
+    cached record, itself cached per alpha; it supplies the zero-wait term
+    itself, so rhos is ignored.
     """
     if not 1 <= j <= k + m:
         raise DomainError("customer index out of range")
@@ -81,21 +137,13 @@ def waiting_lst(j, alpha, k, m, plan, law, rhos=None):
 
 
 def waiting_mean(j, k, m, plan, law, rhos=None):
-    """E[W_j]: (j-1) E[B] corrected by the interarrival gaps actually waited out."""
+    """E[W_j]: (j-1) E[B] corrected by the interarrival gaps actually waited
+    out, read from the model's cached record; rhos is ignored."""
     if not 1 <= j <= k + m:
         raise DomainError("customer index out of range")
-    mb = service.mean(law)
-    if j <= k:
-        return (j - 1) * mb
-    if rhos is None:
-        rhos = emptiness_probs(k, m, plan, law)
-    lams = kernels.plan_rates(plan)
-    total = (j - 1) * mb
-    for i in range(j - k):
-        total -= 1.0 / lams[m - i - 1]
-    for h in range(k + 1, j + 1):
-        total += rhos[h - k - 1] / lams[m - h + k]
-    return total
+    if j <= k:  # needs no transform, so Pareto service has it too
+        return (j - 1) * service.mean(law)
+    return _record(k, m, plan, law).means[j - 1]
 
 
 def tail_asymptote(j, t, law):

@@ -249,6 +249,16 @@ class TestConfigHandling:
         assert code == 1
         assert "unknown key 'method'" in err
 
+    def test_overflowing_deterministic_model_exits_one(self, capsys):
+        code, out, err = run(
+            ["pmf", "--k", "1", "--m", "2", "--plan", "const:1e200",
+             "--service", "det:1e200", "--gamma", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "lambda_max * d" in err and "Traceback" not in err
+
     def test_inversion_method_flag_rejected(self, capsys):
         code, out, err = run(
             ["at-time", "--k", "1", "--m", "0", "--service", "exp:1", "--t", "1",

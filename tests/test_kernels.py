@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolqueue import inversion, kernels, service
-from poolqueue.errors import UnsupportedTransform
+from poolqueue.errors import DomainError, UnsupportedTransform
 
 LAWS = [
     service.Exponential(1.3),
@@ -313,6 +313,14 @@ class TestDeterministicSeries:
             ref_u, ref_r = block_exponential(plan, 3.0, gamma, alpha)
             assert np.max(np.abs(u - ref_u)) <= 1e-13
             assert np.max(np.abs(r - ref_r)) <= 1e-13
+
+    def test_overflowing_expected_arrivals_rejected(self):
+        # lambda_max d = 1e400 is not a float: no term count exists.
+        plan, law = kernels.Constant(1e200, 2), service.Deterministic(1e200)
+        with pytest.raises(DomainError, match="lambda_max"):
+            kernels.build_tables(plan, law, 1.0)
+        with pytest.raises(DomainError, match="lambda_max"):
+            inversion.pmf_at_time(1, 2, plan, law, 1.0)
 
     @pytest.mark.parametrize(
         "plan",

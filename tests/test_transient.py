@@ -227,6 +227,27 @@ class TestJointTransform:
         assert abs(joint.coeffs.sum() - total) < 1e-15
 
 
+class TestPhaseAxis:
+    """A deposit with a trailing phase axis, in the same pass as the plain one."""
+
+    @pytest.mark.parametrize("law", LAWS[:3] + [service.Erlang(4, 4.0)])
+    @pytest.mark.parametrize("gamma", [0.7, np.array([0.5, 1.0 + 2.0j])])
+    def test_projects_to_the_plain_sweep(self, law, gamma):
+        start, sub = service.phase_type(law)
+        p = len(start)
+        for k, m, plan in [(2, 5, kernels.Proportional(0.9, 5)), (0, 3, kernels.Constant(1.1, 3)),
+                           (3, 0, kernels.Constant(1.0, 0))]:
+            u, v = kernels.kernel_rows(plan, law, gamma, 0.0, gamma)
+            phases = np.stack(kernels._phase_tables(plan, start, sub, gamma, np.eye(p)), axis=-1)
+            joint, empty = transient.sweep(k, m, plan, gamma, u, v)
+            resolved, resolved_empty = transient.sweep(k, m, plan, gamma, u, phases)
+            assert resolved.shape == np.shape(gamma) + (k + m + 1, m + 1, p)
+            assert np.array_equal(resolved_empty, empty)
+            assert not np.any(resolved[..., 0, :, :])
+            killed = np.expand_dims(gamma, (-1, -2)) * resolved[..., 1:, :, :].sum(-1)
+            assert np.max(np.abs(killed - joint[..., 1:, :])) <= 1e-15
+
+
 class TestWorkloadLst:
     def test_alpha_zero(self):
         got = transient.workload_lst(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from poolqueue import kernels, service, simulate, waiting
+from poolqueue import kernels, service, simulate, transient, waiting
 from poolqueue.errors import DomainError
 
 LAWS = [
@@ -180,6 +180,120 @@ class TestWaitingMean:
             est = report.waiting_means[j - 1]
             exact = waiting.waiting_mean(j, 2, 3, plan, law)
             assert abs(est.value - exact) <= 4 * max(est.stderr, 1e-12)
+
+
+PHASE_LAWS = [
+    service.Exponential(1.3),
+    service.Erlang(2, 2.0),
+    service.Erlang(4, 4.0),
+    service.HyperExponential((0.4, 0.6), (1.0, 3.0)),
+]
+
+SHAPES = [(3, 30), (0, 4), (5, 12), (2, 0), (0, 1)]
+
+
+def shaped_plans():
+    for k, m in SHAPES:
+        for plan in plans(m, lam=0.9):
+            yield k, m, plan
+
+
+def per_alpha_lsts(alpha, k, m, plan, law):
+    """E[e^{-alpha W_j}], j = 1..k+m, from a gamma = 0 sweep of the residual
+    kernel r(alpha): one kernel build and one sweep per alpha."""
+    u, residual = kernels.kernel_rows(plan, law, 0.0, alpha, 1.0)
+    joint, empty = transient.sweep(k, m, plan, 0.0, u, residual)
+    powers = service.lst(law, alpha) ** np.arange(k + m)
+    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+    arriving = empty + lams * (powers @ joint[1:])
+    return np.concatenate((powers[:k], arriving[m:0:-1]))
+
+
+def loop_mean(j, k, m, plan, law):
+    """E[W_j] by the closed form, one customer at a time."""
+    mb = service.mean(law)
+    if j <= k:
+        return (j - 1) * mb
+    rhos = waiting.emptiness_probs(k, m, plan, law)
+    lams = kernels.plan_rates(plan)
+    total = (j - 1) * mb
+    for i in range(j - k):
+        total -= 1.0 / lams[m - i - 1]
+    for h in range(k + 1, j + 1):
+        total += rhos[h - k - 1] / lams[m - h + k]
+    return total
+
+
+class TestRecord:
+    """One alpha-free gamma = 0 sweep per model gives every waiting answer."""
+
+    @pytest.mark.parametrize("law", PHASE_LAWS + [service.Deterministic(0.8)])
+    def test_lsts_match_per_alpha_sweep(self, law):
+        for k, m, plan in shaped_plans():
+            rate = plan.rates[-1] if m else 0.9
+            for alpha in (0.5, rate, 2.0, 7.0, 2.0 + 1.0j):
+                want = per_alpha_lsts(alpha, k, m, plan, law)
+                got = [waiting.waiting_lst(j, alpha, k, m, plan, law) for j in range(1, k + m + 1)]
+                assert np.max(np.abs(np.array(got) - want), initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_emptiness_matches_plain_sweep(self, law):
+        for k, m, plan in shaped_plans():
+            tables = kernels.build_tables(plan, law, 0.0)
+            _, empty = transient.sweep(k, m, plan, 0.0, tables.u, tables.v)
+            assert np.array_equal(waiting.emptiness_probs(k, m, plan, law), empty[m:0:-1])
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_means_match_closed_form_loop(self, law):
+        for k, m, plan in shaped_plans():
+            for j in range(1, k + m + 1):
+                want = loop_mean(j, k, m, plan, law)
+                got = waiting.waiting_mean(j, k, m, plan, law)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("law", PHASE_LAWS)
+    def test_means_from_phase_axis(self, law):
+        # Customer j finds c present with the service in phase phi, then
+        # waits the residual, (-S)^{-1} 1 from phi, and c - 1 full services.
+        _, sub = service.phase_type(law)
+        residual_mean = np.linalg.solve(-sub, np.ones(len(sub)))
+        for k, m, plan in shaped_plans():
+            joint = waiting._record(k, m, plan, law).joint
+            counts = np.arange(k + m + 1)[:, None, None]
+            left = joint * ((counts - 1) * service.mean(law) + residual_mean)
+            lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+            means = lams * left[1:].sum(axis=(0, 2))
+            for j in range(k + 1, k + m + 1):
+                got = waiting.waiting_mean(j, k, m, plan, law)
+                assert means[k + m - j + 1] == pytest.approx(got, rel=1e-12, abs=1e-300)
+
+    def test_record_is_read_only(self):
+        plan, law = kernels.Constant(0.9, 6), service.Erlang(2, 2.0)
+        record = waiting._record(2, 6, plan, law)
+        for array in (record.empty, record.joint, record.means,
+                      waiting.emptiness_probs(2, 6, plan, law)):
+            assert not array.flags.writeable
+        assert record.joint.shape == (9, 7, 2)
+
+    @pytest.mark.parametrize("law", PHASE_LAWS)
+    def test_one_kernel_build_per_model(self, law, monkeypatch):
+        calls = []
+        original = kernels._phase_tables
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "_phase_tables", counted)
+        plan = kernels.Constant(0.9, 7)
+        waiting._record.cache_clear()
+        waiting._waiting_lsts.cache_clear()
+        waiting.emptiness_probs(2, 7, plan, law)
+        for j in range(1, 10):
+            waiting.waiting_mean(j, 2, 7, plan, law)
+            for alpha in (0.3, 0.9, 2.0 + 1.0j):
+                waiting.waiting_lst(j, alpha, 2, 7, plan, law)
+        assert len(calls) == 1
 
 
 class TestTailAsymptote:
