@@ -37,7 +37,7 @@ contour: both matrices then carry the node axis first, and each node is
 computed by the same products as a scalar gamma, which is a batch of one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, inf, lgamma, log, sqrt
 
 import numpy as np
@@ -67,11 +67,17 @@ class RatePlan:
     while n customers are still to come.  Rates may repeat."""
 
     rates: tuple
+    # every cached answer keys on the plan, so its hash is taken once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if not all(0 < r < inf for r in self.rates):
             raise ValueError("all rates must be positive and finite")
+        object.__setattr__(self, "_hash", hash(self.rates))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def m(self):

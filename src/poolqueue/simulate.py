@@ -14,9 +14,10 @@ idle state (0, n) is stored as its mass times alpha: an arrival then moves
 every row (ell, n) to (ell+1, n-1) alike, a completion from ell >= 1 feeds
 ell-1 through s0 alpha, and only rows ell >= 1 take the phase moves of S.
 Its distribution at an exponential deadline (resolvent) follows by
-substitution, column by column.  Its distribution at a fixed time is the
-uniformization that answers the time-domain queries (inversion), so for
-phase-type laws ctmc_at_time is that route itself, not a check of it.
+substitution, column by column.  Its distribution at a fixed time is a
+full-state pass of the uniformization (inversion._uniformized), the
+reference that the per-model record answering the time-domain queries is
+tested against.
 """
 
 from dataclasses import dataclass, field
@@ -277,7 +278,8 @@ def ctmc_resolvent(k, m, plan, law, gamma):
 
 def ctmc_at_time(k, m, plan, law, t):
     """Exact distribution of (Z, still-to-arrive) at time t, by
-    uniformization: the array P[ell, n] of inversion's uniformized chain,
-    summed over phases."""
+    uniformization: the array P[ell, n] of inversion's full-state pass,
+    summed over phases.  It keeps every state, where the time-domain
+    answers keep only the level sums; they are tested against it."""
     _phases(law)  # UnsupportedOracle unless the law is phase-type
     return inversion._uniformized(k, m, plan, law, t).sum(axis=2)

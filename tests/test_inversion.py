@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import math
+import sys
 import time
 import warnings
 
@@ -336,6 +338,24 @@ PHASE_TYPE = [
 PHASE_TYPE_IDS = ["exp", "erlang2", "hyperexp"]
 
 
+RECORD_LAWS = PHASE_TYPE + [service.Erlang(4, 4.0)]
+RECORD_LAW_IDS = PHASE_TYPE_IDS + ["erlang4"]
+RECORD_TIMES = (0.5, 2.0, 12.0, 120.0, 1e6)
+
+
+def full_state_pmf(k, m, plan, law, t):
+    return inversion._uniformized(k, m, plan, law, t).sum(axis=(1, 2))
+
+
+def full_state_workload_lst(k, m, plan, law, alpha, t):
+    """workload_lst_at_time's readout, from the full-state array."""
+    start, sub = service.phase_type(law)
+    residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, -sub.sum(axis=1))
+    levels = inversion._uniformized(k, m, plan, law, t).sum(axis=1)
+    queued = service.lst(law, alpha) ** np.arange(k + m)
+    return float(levels[0].sum() + queued @ (levels[1:] @ residual))
+
+
 class TestUniformizedRoute:
     """Phase-type time-domain answers come from the uniformized chain."""
 
@@ -421,6 +441,92 @@ class TestUniformizedRoute:
         dist = simulate.ctmc_at_time(1, 1, plan, service.Exponential(1.0), 100.0)
         assert dist[0, 1] == pytest.approx(1.0, abs=1e-15)
         assert dist[0, 0] < 1e-20
+
+    @pytest.mark.parametrize("law", RECORD_LAWS, ids=RECORD_LAW_IDS)
+    @pytest.mark.parametrize("kind", ["const", "prop", "general"])
+    @pytest.mark.parametrize("k, m", [(2, 12), (0, 8), (3, 0)], ids=["k2-m12", "k0", "m0"])
+    def test_record_matches_full_state_in_any_order(self, law, kind, k, m):
+        # t = 120 and 1e6 fall past the stationarity stop
+        plan = {
+            "const": kernels.Constant(0.85, m),
+            "prop": kernels.Proportional(0.15, m),
+            "general": kernels.General(tuple(0.3 + 0.2 * i for i in range(m))),
+        }[kind]
+
+        def answers(times):
+            return {
+                t: (
+                    inversion.pmf_at_time(k, m, plan, law, t),
+                    inversion.workload_lst_at_time(k, m, plan, law, 0.7, t),
+                )
+                for t in times
+            }
+
+        inversion._record.cache_clear()
+        ascending = answers(RECORD_TIMES)
+        inversion._record.cache_clear()
+        descending = answers(RECORD_TIMES[::-1])
+        for t in RECORD_TIMES:
+            inversion._record.cache_clear()
+            alone = answers((t,))[t]
+            for got in (ascending[t], descending[t]):
+                assert np.array_equal(got[0], alone[0]) and got[1] == alone[1]
+            probs, lst = alone
+            assert np.max(np.abs(probs - full_state_pmf(k, m, plan, law, t))) <= 1e-14
+            assert abs(lst - full_state_workload_lst(k, m, plan, law, 0.7, t)) <= 1e-14
+        assert inversion._record(k, m, plan, law).stop is not None
+
+    def test_a_model_costs_one_pass(self, monkeypatch):
+        steps = []
+
+        def counted(*args, _step=inversion._step):
+            steps.append(None)
+            return _step(*args)
+
+        monkeypatch.setattr(inversion, "_step", counted)
+        plan, law = kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
+        grid = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
+        inversion._record.cache_clear()
+        for t in grid:
+            inversion.pmf_at_time(2, 20, plan, law, t)
+        record = inversion._record(2, 20, plan, law)
+        y = record.q * grid[-1]
+        assert record.stop is None
+        assert len(steps) == record.size - 1 == math.ceil(y + 9.0 * math.sqrt(y) + 10.0) - 1
+        steps.clear()
+        for t in grid:
+            inversion.pmf_at_time(2, 20, plan, law, t)
+            inversion.workload_lst_at_time(2, 20, plan, law, 0.7, t)
+        assert not steps
+
+    def test_threads_share_one_record(self):
+        plan, law = kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
+        times = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0] * 4
+        inversion._record.cache_clear()
+        serial = {t: inversion.pmf_at_time(2, 20, plan, law, t) for t in times}
+        inversion._record.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                got = list(
+                    pool.map(lambda t: inversion.pmf_at_time(2, 20, plan, law, t), times, timeout=60)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for t, probs in zip(times, got):
+            assert np.array_equal(probs, serial[t])
+        y = inversion._record(2, 20, plan, law).q * 12.0
+        assert inversion._record(2, 20, plan, law).size == math.ceil(y + 9.0 * math.sqrt(y) + 10.0)
+
+    def test_stop_bounds_the_record(self):
+        plan, law = kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
+        inversion._record.cache_clear()
+        for t in (1e4, 1e12):  # series of 30 030 and about 2.85e12 terms
+            inversion.pmf_at_time(2, 20, plan, law, t)
+            record = inversion._record(2, 20, plan, law)
+            assert record.stop is not None
+            assert record.size == record.stop + 1 == len(record._rows) <= 300
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_bad_time_rejected(self, t):

@@ -59,6 +59,19 @@ class TestRatePlans:
         assert kernels.Constant(0.7, 0) == kernels.Proportional(0.3, 0)
         assert kernels.Proportional(0.5, 4).m == 4
 
+    def test_equal_plans_share_a_hash_and_a_cache_entry(self):
+        lam, m = 0.85, 6
+        built, general = kernels.Constant(lam, m), kernels.General((lam,) * m)
+        assert built == general and hash(built) == hash(general)
+        assert repr(built) == f"RatePlan(rates={(lam,) * m!r})"
+        assert str(hash(built)) not in repr(built)
+        inversion._record.cache_clear()
+        law = service.Erlang(2, 2.0)
+        inversion.pmf_at_time(2, m, built, law, 1.0)
+        inversion.pmf_at_time(2, m, general, law, 1.0)
+        info = inversion._record.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
     def test_proportional_rates_exact(self):
         for lam, m in ((0.5, 4), (0.37, 60), (1.3, 250)):
             got = kernels.plan_rates(kernels.Proportional(lam, m))
