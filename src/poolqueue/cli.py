@@ -450,7 +450,7 @@ _COMMANDS = {
                 _MODEL + ("j", "alpha")),
     "at-time": (cmd_at_time,
                 "queue-length PMF at fixed times: uniformization for phase-type "
-                "service, Euler inversion for Deterministic", _MODEL + ("t",)),
+                "service, the reflection map for Deterministic", _MODEL + ("t",)),
     "geometric": (cmd_geometric,
                   "closed-form generating functions for geometric initial conditions",
                   ("lam", "mu", "gamma", "p", "r", "z")),

@@ -22,5 +22,6 @@ class UnsupportedOracle(PoolQueueError):
     phase-type (Deterministic or Pareto), so it has no finite chain."""
 
 
+# Unused: kept because the benchmark counts it.
 class ConvergenceWarning(UserWarning):
-    """The Euler inversions at two node counts disagree beyond tolerance."""
+    """Raised by the tests' Euler oracle when its two node counts disagree."""

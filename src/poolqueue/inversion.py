@@ -15,112 +15,63 @@ phase marginals sum_n x_j[ell, n, phase] of the iterates.  So each model
 keeps one record of them (_record, cached on (k, m, plan, law)), grown on
 demand: a time point reads its first y + 9 sqrt(y) + 10 rows (y = q t),
 a grid of times costs the steps of its largest t once, and a repeated t
-costs none.  The record holds rows x (k + m + 1) x p floats, and the stop
-bounds its rows.  _uniformized, the full-state pass that ctmc_at_time
-returns, is the reference it is tested against.
+costs none.  The record holds rows x (k + m + 1) x p floats, bounded by
+the stop and by RECORD_BYTES.  Past that a time point takes _uniformized,
+the full-state pass in O(state) memory that ctmc_at_time returns.
 
-Deterministic(d) service has no finite chain, but its queue length comes
-from the arrivals alone by the reflection map (Takacs, 1962; Prabhu,
-1998): with A(u) the arrivals by u and X(u) = d A(u) - u, the work present
-is W(t) = max(k d + X(t), sup_u (X(t) - X(u))) and Z(t) = ceil(W(t) / d).
-A is nondecreasing, so Z(t) <= l exactly when (A(t) + k - l) d <= t and
-A(t - (c + 1) d) >= A(t) - l - c at every grid point t - (c + 1) d >= 0.
-The outstanding count m - A is the pure-death chain of the kernels, so
-with delta = A(t) - l held as a row index the PMF takes one pass of its
-transition matrices e^{L tau}: over t - C d (C the number of grid points),
-then C times over d, each after zeroing the states that fail that grid
-point's bound.  Every term is a probability, and once the pool has
-drained no bound can fail, so the pass stops there.
+Deterministic(d) service has no finite chain, but its workload comes from
+the arrivals alone by the reflection map (Takacs, 1962; Prabhu, 1998):
+with A(u) the arrivals by u and X(u) = d A(u) - u, the work present is
+W(t) = max(k d + X(t), sup_u (X(t) - X(u))) and Z(t) = ceil(W(t) / d).  A
+is nondecreasing, so for 0 <= xi < d, W(t) <= j d + xi exactly when
+(A(t) + k - j) d <= t + xi and A(u) >= A(t) - j - c at every grid point
+u = t + xi - (c + 1) d >= 0.  The outstanding count m - A is the
+pure-death chain of the kernels, so with delta = A(t) - j as a row index
+one pass of its transition matrices e^{L tau} gives P(W(t) <= j d + xi)
+for every j: to the earliest of the C grid points, over d between them
+and over d - xi from the last to t, zeroing at each grid point the states
+that fail its bound.  At xi = 0 it is P(Z(t) <= j).  No bound zeroes a
+row delta <= 0, so one row stands for them all.  Every term is a
+probability, and once the pool has drained no bound can fail, so the pass
+stops there.
 
-The Euler inversion (binomial averaging of a trapezoidal Fourier series on
-a vertical Bromwich line) remains for the Deterministic workload
-transform: the pipeline's expectations at an independent Exp(gamma)
-deadline, divided by gamma, are Laplace transforms (in gamma) of the
-functions of deterministic time.  Following Abate and Whitt's unified
-framework, the method checks itself at a second precision setting: Euler
-with ANSWER_NODES gives the answer, Euler with CHECK_NODES the check.  The
-transform is evaluated at the nodes of both at once: the kernel tables and
-the sweep take the nodes as an array of killing rates, so a time point
-costs one table build and one sweep.
+The workload transform, alpha times the integral of e^{-alpha x}
+P(W(t) <= x), takes LST_NODES-point Gauss-Legendre in xi on each side of
+the break xi* = d - (t - C d), where the grid count steps up: the
+integrand is analytic on each side, and a side's shifts share one pass.
+Past LST_CLIP / alpha the weight e^{-alpha xi} is below e^{-LST_CLIP}, so
+the sides end there; a large alpha would otherwise fall between two nodes.
 """
 
 import threading
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, comb, exp, fmod, frexp, inf, ldexp, log2, sqrt
+from math import ceil, exp, fmod, frexp, inf, ldexp, log2, sqrt
 from sys import float_info
 
 import numpy as np
 
-from . import kernels, service, transient
-from .errors import ConvergenceWarning, DomainError
+from . import kernels, service
+from .errors import DomainError
 from .service import Deterministic
 
 __all__ = [
     "InversionConfig",
-    "invert",
     "pmf_at_time",
     "pgf_at_time",
     "workload_lst_at_time",
 ]
 
-ANSWER_NODES = 32
-CHECK_NODES = 40
+LST_NODES = 24
+LST_CLIP = 40.0
+RECORD_BYTES = 16 * 2**20
+_legendre = lru_cache(np.polynomial.legendre.leggauss)  # 0.4 ms a call
 
 
+# Unused: kept because the benchmark reads its cross_tolerance.
 @dataclass(frozen=True)
 class InversionConfig:
     cross_tolerance: float = 1e-6
-
-
-def _euler_nodes(t, nodes):
-    # Abate-Whitt Euler scheme: beta_k = n ln(10)/3 + i pi k on a vertical
-    # line, alternating series accelerated by binomial averaging.
-    n = nodes // 2
-    k = np.arange(2 * n + 1)
-    eta = np.zeros(2 * n + 1)
-    eta[0] = 0.5
-    eta[1 : n + 1] = 1.0
-    eta[2 * n] = 2.0**-n
-    for j in range(1, n):
-        eta[2 * n - j] = eta[2 * n - j + 1] + comb(n, j) * 2.0**-n
-    weights = 10.0 ** (n / 3.0) * (-1.0) ** k * eta / t
-    s = (n * np.log(10.0) / 3.0 + 1j * np.pi * k) / t
-    return s, weights
-
-
-def invert(fhat, t):
-    """Recover f(t) from gamma |-> fhat(gamma) where fhat(gamma)/gamma = L f.
-
-    fhat is the deadline-expectation form E[f at an Exp(gamma) time]; its
-    division by gamma gives the plain Laplace transform inverted here.  A
-    contour is a set of nodes s_j with weights w_j, and
-    f(t) = Re sum_j w_j fhat(s_j) / s_j.  fhat is called once, with the
-    1-D array of the nodes of both Euler contours, and returns an array
-    with the nodes on its last axis, or a scalar that holds at every node.
-    The result is the ANSWER_NODES estimate, with the shape of one node's
-    value: an array, inverted componentwise, or else a float.  One
-    ConvergenceWarning is emitted unless every component of it agrees with
-    the CHECK_NODES estimate within tolerance (a NaN never agrees).
-    """
-    if not 0 < t < np.inf:
-        raise DomainError(f"inversion requires 0 < t < inf, got t={t}")
-    answer_nodes, answer_weights = _euler_nodes(t, ANSWER_NODES)
-    check_nodes, check_weights = _euler_nodes(t, CHECK_NODES)
-    s = np.concatenate((answer_nodes, check_nodes))
-    values = np.asarray(fhat(s))
-    transform = np.broadcast_to(values, values.shape[:-1] + s.shape) / s
-    split = len(answer_nodes)
-    estimate = np.real(transform[..., :split] @ answer_weights)
-    gap = np.abs(estimate - np.real(transform[..., split:] @ check_weights))
-    if not np.all(gap <= InversionConfig().cross_tolerance):
-        warnings.warn(
-            f"euler-{ANSWER_NODES} and euler-{CHECK_NODES} disagree at t={t}: "
-            f"largest gap {np.max(gap)}",
-            ConvergenceWarning,
-        )
-    return estimate if np.ndim(estimate) else float(estimate)
 
 
 def _poisson_weights(y):
@@ -225,8 +176,8 @@ class _Record:
     frontier iterate x_J, the stop index (None until the chain stops) and
     rows[j, ell, phase] = sum_n x_j[ell, n, phase] for j <= J.  rows(n)
     grows it on demand, one _step per new row, so every t of the model
-    shares one pass; the stop ends the growth, and bounds the record at
-    stop + 1 rows of (k + m + 1) x p floats."""
+    shares one pass; the stop ends the growth, and so does cap, the rows
+    of (k + m + 1) x p floats that RECORD_BYTES holds."""
 
     def __init__(self, k, m, plan, law):
         self.q, self.start, self._ops = _chain(m, plan, law)
@@ -234,17 +185,21 @@ class _Record:
         self._ones = np.ones(m + 1)  # ones @ x: 20x faster than x.sum(axis=1)
         self._rows = np.empty((8, k + m + 1, len(self.start)))
         np.matmul(self._ones, self._x, out=self._rows[0])
+        self.cap = max(1, RECORD_BYTES // self._rows[0].nbytes)
         self.size, self.stop = 1, None
         self._lock = threading.Lock()
 
     def rows(self, n):
-        """rows[:n], or through the stop if it comes first (read-only)."""
+        """rows[:n], or through the stop or the cap if either comes first
+        (read-only)."""
         with self._lock:
-            while self.size < n and self.stop is None:
+            while self.size < min(n, self.cap) and self.stop is None:
                 j = self.size
                 self._x = _step(self._x, *self._ops)
                 if j == len(self._rows):
-                    self._rows = np.concatenate((self._rows, np.empty_like(self._rows)))
+                    grown = np.empty((min(2 * j, self.cap),) + self._rows.shape[1:])
+                    grown[:j] = self._rows
+                    self._rows = grown
                 np.matmul(self._ones, self._x, out=self._rows[j])
                 self.size = j + 1
                 if _stops(j, self._x):
@@ -263,11 +218,14 @@ def _levels(k, m, plan, law, t):
     """sum_n x[ell, n, phase] at time t for phase-type service: the
     record's rows up to the series length under the Poisson(q t) weights,
     and, if the chain stopped within them, the weight left over on (0, 0),
-    as _uniformized sums them."""
+    as _uniformized sums them.  A series that runs past the record's cap
+    with no stop takes _uniformized itself."""
     _check_time(t)
     record = _record(k, m, plan, law)
     y, terms = _series(record.q, t)
     rows = record.rows(terms)
+    if len(rows) < terms and record.stop is None:
+        return _uniformized(k, m, plan, law, t).sum(axis=1)  # past the cap
     weights = np.fromiter(_poisson_weights(y), float, len(rows))
     levels = (weights @ rows.reshape(len(rows), -1)).reshape(rows.shape[1:])
     if record.stop is not None and record.stop < terms:
@@ -292,29 +250,67 @@ def _grid(t, d):
     return steps, t - steps * d
 
 
-def _reflected(k, m, plan, d, t):
-    """P(Z(t) = l) for Deterministic(d) service by the reflection map
-    (module docstring).  Row delta of x holds P(the grid bounds so far
-    hold, outstanding count n) for A(t) - l = delta, on the rows the
-    readout bound (delta + k) d <= t admits; P(Z(t) <= l) is then the sum
-    of x[delta, n] over A = m - n = l + delta."""
+def _reflected(k, m, plan, d, t, shifts):
+    """F[i, j] = P(W(t) <= j d + shifts[i]), j = 0..k+m, by the reflection map
+    (module docstring) at shifts in [0, d) on one side of the break.  Row
+    delta of x[i] holds P(the grid bounds so far hold, outstanding count n)
+    for A(t) - j = delta; row 0 stands for every delta <= 0."""
     _check_time(t)
     steps, rest = _grid(t, d)
-    first, step = kernels._death_exponentials(plan, d, (rest, d))
+    shifts = np.asarray(shifts, dtype=float)
+    if shifts[0] >= d - rest:  # past the piece break: one grid point more
+        steps, rest = steps + 1, rest - d
+    count = len(shifts)
+    firsts = rest + shifts if steps else np.full(count, t)
+    exps = kernels._death_exponentials(plan, d, np.concatenate((firsts, [d], d - shifts)))
+    first, step, last = exps[:count], exps[count], exps[count + 1 :]
     arrived = m - np.arange(m + 1)  # A along the outstanding count n
-    deltas = np.arange(-(k + m), m + 1)
-    deltas = deltas[(deltas + k) * d <= t][:, None]
-    x = np.repeat(first[m:], len(deltas), axis=0)
+    top = min(m, steps - k)  # the last row the bound (delta + k) d <= t + xi admits
+    below = min(0, top)  # row 0 holds the rows -(k + m)..below
+    # Row 1 is stepped even where the readout drops it: a single row would
+    # take numpy's vector-matrix product, which rounds unlike the matrix one.
+    deltas = np.arange(max(top, 1) + 1)[:, None]
+    copies = np.concatenate(([below + k + m + 1], deltas[1:, 0] <= top))  # for the drain stop
+    x = np.repeat(first[:, None, m], len(deltas), axis=1)
     for j in range(steps):
-        if x[:, 1:].sum() < 1e-18:
+        if x[:, :, 1:].sum(axis=(0, 2)) @ copies < 1e-18:
             # Drained: A stays put and the bounds only tighten, to A >= delta.
             x *= arrived >= deltas
             break
-        x *= arrived >= deltas - (steps - 1 - j)  # the bound at t - (C - j) d
-        x = x @ step
-    levels = arrived - deltas
-    held = (levels >= 0) & (levels <= k + m)
-    return np.diff(np.bincount(levels[held], x[held], minlength=k + m + 1), prepend=0.0)
+        x *= arrived >= deltas - (steps - 1 - j)  # the bound at t + xi - (C - j) d
+        if j < steps - 1:
+            x = (x.reshape(-1, m + 1) @ step).reshape(x.shape)
+        else:
+            x = x @ last  # from the last grid point t + xi - d to t
+    # F[i, j]: row 0's mass at A <= j + below, then x[i, delta, A = j + delta] by delta
+    size = k + m + 1
+    held = np.cumsum(x[:, 0, ::-1], axis=1)[:, np.minimum(np.arange(size + below), m)]
+    levels = arrived - deltas[1 : top + 1]
+    kept = levels >= 0
+    levels = np.concatenate((np.arange(-below, size), levels[kept]))
+    bins = levels + size * np.arange(count)[:, None]
+    masses = np.concatenate((held, x[:, 1 : top + 1][:, kept]), axis=1)
+    return np.bincount(bins.ravel(), masses.ravel(), count * size).reshape(count, size)
+
+
+def _reflected_lst(k, m, plan, d, alpha, t):
+    """E[e^{-alpha W(t)}] for Deterministic(d) service (module docstring):
+    e^{-alpha (k + m + 1) d} plus alpha e^{-alpha j d} times the integral of
+    e^{-alpha xi} P(W(t) <= j d + xi) over [0, d), summed over j."""
+    _check_time(t)
+    _, rest = _grid(t, d)
+    breaks = (0.0, d - rest, d) if rest else (0.0, d)
+    reach = LST_CLIP / alpha if alpha else inf
+    nodes, weights = _legendre(LST_NODES)
+    levels = np.exp(-alpha * (d * np.arange(k + m + 1)))
+    value = exp(-alpha * (k + m + 1) * d)
+    for lo, hi in zip(breaks, breaks[1:]):
+        half = 0.5 * (min(hi, reach) - lo)
+        if half > 0:
+            shifts = lo + half * (1.0 + nodes)
+            cdf = _reflected(k, m, plan, d, t, shifts)
+            value += alpha * half * ((weights * np.exp(-alpha * shifts)) @ cdf @ levels)
+    return float(value)
 
 
 def pmf_at_time(k, m, plan, law, t):
@@ -333,7 +329,7 @@ def pmf_at_time(k, m, plan, law, t):
         out[k] = 1.0
         return out
     if isinstance(law, Deterministic):
-        return _reflected(k, m, plan, law.value, t)
+        return np.diff(_reflected(k, m, plan, law.value, t, (0.0,))[0], prepend=0.0)
     return _levels(k, m, plan, law, t).sum(axis=1)
 
 
@@ -351,17 +347,18 @@ def workload_lst_at_time(k, m, plan, law, alpha, t):
     sum_n x[0, n] 1 + sum_{c >= 1} beta(alpha)^{c-1} sum_n x[c, n]
     (alpha I - S)^{-1} s0 over the uniformized chain, whose sums over n
     are the rows of the model's record, as in pmf_at_time.  Deterministic
-    service: Euler inversion, which keeps the real part of the transform
-    only.  A complex or negative alpha raises DomainError.
+    service: alpha times the integral of e^{-alpha x} P(W(t) <= x), that
+    law from the reflection map's pass shifted by xi, by Gauss-Legendre on
+    the two pieces of [0, d) either side of the break in the grid count,
+    each cut at LST_CLIP / alpha (module docstring).  A complex or negative
+    alpha raises DomainError.
     """
     if np.imag(alpha) != 0 or not 0 <= np.real(alpha) < inf:
         raise DomainError(f"workload_lst_at_time requires a real alpha >= 0, got {alpha}")
     if t == 0:
         return service.lst(law, alpha) ** k
     if isinstance(law, Deterministic):
-        return invert(
-            lambda gamma: transient.workload_lst(k, m, plan, law, gamma, alpha), t
-        )
+        return _reflected_lst(k, m, plan, law.value, alpha, t)
     start, sub = service.phase_type(law)
     residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, -sub.sum(axis=1))
     levels = _levels(k, m, plan, law, t)

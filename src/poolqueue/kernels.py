@@ -163,7 +163,8 @@ def _death_poisson(plan, d, taus):
     if not y < inf:
         raise DomainError(f"lambda_max * d = {top:g} * {d:g} is not finite")
     terms = np.arange(ceil(y + 9.0 * sqrt(y) + 10.0))
-    log_factorials = np.array([lgamma(j + 1.0) for j in terms])
+    # over Python ints: lgamma of a numpy scalar is eight times slower
+    log_factorials = np.array([lgamma(j + 1.0) for j in range(len(terms))])
     weights = np.zeros((len(taus), len(terms)))
     weights[:, 0] = 1.0  # e^{L 0} = I
     for row, tau in zip(weights, taus):

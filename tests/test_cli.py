@@ -201,6 +201,15 @@ class TestSubcommands:
         _, _, rows = parse_csv(out)
         assert float(rows[0][2]) == pytest.approx(1.0 - 2.718281828**-1, abs=1e-6)
 
+    def test_at_time_help_names_no_inversion(self, capsys):
+        for argv in (["--help"], ["at-time", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 0
+            out = capsys.readouterr().out.lower()
+            assert "at-time" in out
+            assert "invers" not in out and "euler" not in out
+
     def test_simulate_json(self, capsys):
         code, out, _ = run(
             ["simulate", "--k", "1", "--m", "0", "--service", "exp:1",

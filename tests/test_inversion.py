@@ -2,6 +2,8 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -12,12 +14,14 @@ import pytest
 from poolqueue import inversion, kernels, service, simulate, transient
 from poolqueue.errors import ConvergenceWarning, DomainError
 
+import euler
+
 
 def euler_pmf(k, m, plan, law, t):
     """P(Z(t) = l) by Euler inversion of the deadline PMF, as it comes out
     of invert: the inversion route on its own, whatever route pmf_at_time
     takes for the law."""
-    return inversion.invert(
+    return euler.invert(
         lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0), t
     )
 
@@ -40,23 +44,23 @@ KNOWN_PAIRS = [
 
 class TestInvert:
     def test_exponential_decay(self):
-        got = inversion.invert(lambda g: g / (g + 1.0), 1.0)
+        got = euler.invert(lambda g: g / (g + 1.0), 1.0)
         assert got == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_constant_function(self):
         for t in (0.3, 1.0, 7.0):
-            assert inversion.invert(lambda g: 1.0, t) == pytest.approx(1.0, abs=1e-10)
+            assert euler.invert(lambda g: 1.0, t) == pytest.approx(1.0, abs=1e-10)
 
     def test_single_customer_emptying(self):
         # mu_{10}(0; gamma) = mu/(mu+gamma) inverts to P(Z(t)=0) = 1 - e^{-mu t}
-        got = inversion.invert(lambda g: 1.0 / (1.0 + g), 1.0)
+        got = euler.invert(lambda g: 1.0 / (1.0 + g), 1.0)
         assert got == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
 
     @pytest.mark.parametrize("pair", KNOWN_PAIRS, ids=range(len(KNOWN_PAIRS)))
     @pytest.mark.parametrize("t", [0.5, 1.0, 5.0])
     def test_round_trips(self, pair, t):
         fhat, original = pair
-        got = inversion.invert(fhat, t)
+        got = euler.invert(fhat, t)
         assert got == pytest.approx(original(t), abs=1e-8)
 
     @pytest.mark.parametrize("pair", KNOWN_PAIRS, ids=range(len(KNOWN_PAIRS)))
@@ -64,8 +68,8 @@ class TestInvert:
         # the answer and the check contour each recover the closed form alone
         fhat, original = pair
         for t in (0.5, 2.0):
-            for nodes in (inversion.ANSWER_NODES, inversion.CHECK_NODES):
-                s, weights = inversion._euler_nodes(t, nodes)
+            for nodes in (euler.ANSWER_NODES, euler.CHECK_NODES):
+                s, weights = euler._euler_nodes(t, nodes)
                 assert len(s) == nodes + 1
                 got = np.real(fhat(s) / s @ weights)
                 assert got == pytest.approx(original(t), abs=1e-8)
@@ -74,19 +78,19 @@ class TestInvert:
     def test_answer_is_the_answer_contour(self, t):
         # the check contour only warns: the value is the ANSWER_NODES sum
         fhat = KNOWN_PAIRS[4][0]
-        s, weights = inversion._euler_nodes(t, inversion.ANSWER_NODES)
-        assert inversion.invert(fhat, t) == np.real(fhat(s) / s @ weights)
+        s, weights = euler._euler_nodes(t, euler.ANSWER_NODES)
+        assert euler.invert(fhat, t) == np.real(fhat(s) / s @ weights)
 
     def test_cross_check_warns_on_rough_original(self):
         # a unit step at t = 1 defeats both node counts right at the jump
         with pytest.warns(ConvergenceWarning, match="euler-32 and euler-40"):
-            inversion.invert(lambda g: np.exp(-g), 1.0)
+            euler.invert(lambda g: np.exp(-g), 1.0)
 
     @pytest.mark.parametrize("t", [2.0, 4.0])
     def test_cross_check_warns_on_nan(self, t):
         # a NaN at one node of either contour is a disagreement, also when
         # it lies on the check contour and the answer stays finite
-        count = inversion.ANSWER_NODES + inversion.CHECK_NODES + 2
+        count = euler.ANSWER_NODES + euler.CHECK_NODES + 2
         for bad in (0, count - 1):
 
             def fhat(g):
@@ -95,21 +99,21 @@ class TestInvert:
                 return values
 
             with pytest.warns(ConvergenceWarning, match="nan"):
-                got = inversion.invert(fhat, t)
+                got = euler.invert(fhat, t)
             assert np.isnan(got) == (bad == 0)
 
     def test_vector_transform(self):
         pairs = KNOWN_PAIRS[:6]
-        got = inversion.invert(lambda g: np.array([f(g) for f, _ in pairs]), 1.3)
+        got = euler.invert(lambda g: np.array([f(g) for f, _ in pairs]), 1.3)
         assert got.shape == (len(pairs),)
         for value, (fhat, original) in zip(got, pairs):
-            assert value == pytest.approx(inversion.invert(fhat, 1.3), abs=1e-10)
+            assert value == pytest.approx(euler.invert(fhat, 1.3), abs=1e-10)
             assert value == pytest.approx(original(1.3), abs=1e-8)
 
     def test_requires_positive_time(self):
         for t in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
-                inversion.invert(lambda g: 1.0, t)
+                euler.invert(lambda g: 1.0, t)
         plan, law = kernels.Constant(1.0, 3), service.Erlang(2, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
@@ -123,7 +127,7 @@ class TestInvert:
             shapes.append(np.shape(g))
             return g / (g + 1.0)
 
-        got = inversion.invert(fhat, 1.0)
+        got = euler.invert(fhat, 1.0)
         assert shapes == [(74,)]
         assert got == pytest.approx(math.exp(-1.0), abs=1e-8)
 
@@ -363,7 +367,6 @@ class TestUniformizedRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("inverted a phase-type law")
 
-        monkeypatch.setattr(inversion, "invert", refuse)
         monkeypatch.setattr(transient, "pmf", refuse)
         monkeypatch.setattr(transient, "workload_lst", refuse)
         plan = kernels.Proportional(0.7, 4)
@@ -407,7 +410,7 @@ class TestUniformizedRoute:
         got = inversion.workload_lst_at_time(2, 20, plan, law, alpha, t)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            ref = inversion.invert(
+            ref = euler.invert(
                 lambda g: transient.workload_lst(2, 20, plan, law, g, alpha), t
             )
         assert abs(got - ref) <= 1e-9
@@ -528,6 +531,62 @@ class TestUniformizedRoute:
             assert record.stop is not None
             assert record.size == record.stop + 1 == len(record._rows) <= 300
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_cap_bounds_the_record_memory(self):
+        # a pool that never drains never stops: without the cap the record
+        # took 204 035 rows and 193 MB at t = 1e5.  The peak is the fresh
+        # interpreter's VmHWM: its ru_maxrss would keep the forking
+        # process's peak.
+        code = (
+            "from poolqueue import inversion, kernels, service\n"
+            "plan, law = kernels.General((1e-25,) * 20), service.Erlang(2, 2.0)\n"
+            "probs = inversion.pmf_at_time(2, 20, plan, law, 1e5)\n"
+            "record = inversion._record(2, 20, plan, law)\n"
+            "assert record.stop is None and record.size == record.cap\n"
+            "assert abs(probs[0] - 1.0) <= 1e-12\n"
+            "status = open('/proc/self/status').read().split()\n"
+            "print(status[status.index('VmHWM:') + 1])\n"
+        )
+        source = os.path.dirname(os.path.dirname(inversion.__file__))
+        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) <= 100 * 1024  # in kB
+
+    def test_answers_past_the_cap_are_the_full_state_pass(self, monkeypatch):
+        # a cap of 50 rows: t = 0.5 reads 23 rows, t = 4 and 12 need 52 and
+        # 97, and the chain stops only after 264
+        plan, law = kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
+        monkeypatch.setattr(inversion, "RECORD_BYTES", 50 * 23 * 2 * 8)
+        inversion._record.cache_clear()
+        try:
+            for t in (0.5, 4.0, 12.0, 0.5):
+                probs = inversion.pmf_at_time(2, 20, plan, law, t)
+                lst = inversion.workload_lst_at_time(2, 20, plan, law, 0.7, t)
+                assert np.max(np.abs(probs - full_state_pmf(2, 20, plan, law, t))) <= 1e-14
+                assert abs(lst - full_state_workload_lst(2, 20, plan, law, 0.7, t)) <= 1e-14
+            record = inversion._record(2, 20, plan, law)
+            assert record.size == record.cap == 50 and record.stop is None
+        finally:
+            inversion._record.cache_clear()
+
+    @pytest.mark.parametrize("load", [0.7, 1.3])
+    @pytest.mark.parametrize("mu", [0.8, 1.25])
+    def test_time_grid_records_stay_under_the_cap(self, load, mu):
+        # the benchmark's time grid and its two phase-type models, at the
+        # ends of its load and service-rate ranges
+        times = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
+        inversion._record.cache_clear()
+        for k, m, law in ((2, 20, service.Erlang(2, 2.0)), (3, 12, service.Exponential(mu))):
+            plan = kernels.Constant(load / service.mean(law), m)
+            for t in times:
+                inversion.pmf_at_time(k, m, plan, law, t)
+            record = inversion._record(k, m, plan, law)
+            assert record.size <= 300 < record.cap
+
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_bad_time_rejected(self, t):
         plan = kernels.Constant(1.0, 3)
@@ -541,24 +600,27 @@ class TestUniformizedRoute:
         with pytest.raises(DomainError):
             simulate.ctmc_at_time(1, 3, plan, service.Erlang(2, 2.0), t)
 
-    def test_deterministic_route_is_euler(self, monkeypatch):
-        # Deterministic service: the PMF comes from the reflection map, with
-        # no inversion, table or sweep; the workload transform is inverted
+    def test_deterministic_route_inverts_nothing(self, monkeypatch):
+        # Deterministic service: the PMF and the workload transform come from
+        # the reflection map, with no inversion, table or sweep
         plan, law = kernels.Constant(1.25, 10), service.Deterministic(0.8)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the Deterministic PMF took the transform route")
+            raise AssertionError("a Deterministic time-domain answer took the transform route")
 
         with monkeypatch.context() as patch:
-            for owner, name in ((inversion, "invert"), (kernels, "kernel_rows"), (transient, "sweep")):
+            for owner, name in ((euler, "invert"), (kernels, "kernel_rows"), (transient, "sweep")):
                 patch.setattr(owner, name, refuse)
             probs = inversion.pmf_at_time(1, 10, plan, law, 0.5)
             assert inversion.pgf_at_time(1, 10, plan, law, 0.5, 0.5) == pytest.approx(
                 probs @ 0.5 ** np.arange(12), abs=1e-15
             )
+            got = inversion.workload_lst_at_time(1, 10, plan, law, 0.7, 0.5)
         assert probs.sum() == pytest.approx(1.0, abs=1e-14)
-        lst = inversion.invert(lambda g: transient.workload_lst(1, 10, plan, law, g, 0.7), 0.5)
-        assert inversion.workload_lst_at_time(1, 10, plan, law, 0.7, 0.5) == lst
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            ref = euler.invert(lambda g: transient.workload_lst(1, 10, plan, law, g, 0.7), 0.5)
+        assert abs(got - ref) <= 1e-10
 
     @pytest.mark.parametrize("y", [0.0, 0.3, 5.7, 297.0, 5000.0, 123456.7])
     def test_poisson_weights(self, y):
@@ -585,6 +647,33 @@ REFLECTION_CASES = [
     (2, 0, kernels.Constant(1.0, 0), service.Deterministic(0.8)),
 ]
 REFLECTION_IDS = ["k1-const", "k0-const", "k3-prop", "no-pool"]
+
+
+def workload_monte_carlo(k, m, plan, d, reps, seed):
+    """A function of (alpha, t) giving E[e^{-alpha W(t)}] and its standard
+    error from reps replications of the arrival times.  W(t) = (D - t)^+,
+    D the departure time of the last customer to arrive by t, or k d when
+    none has: under FIFO, the i-th arrival leaves at max(D_{i-1}, T_i) + d."""
+    rng = np.random.default_rng(seed)
+    rates = np.asarray(plan.rates)[::-1]  # the i-th arrival comes at rate lambda_{m-i+1}
+    arrivals = np.cumsum(rng.exponential(1.0, (reps, m)) / rates, axis=1)
+
+    def estimate(alpha, t):
+        departure = np.full(reps, k * d)
+        for column in arrivals.T:
+            departure = np.where(column <= t, np.maximum(departure, column) + d, departure)
+        values = np.exp(-alpha * np.maximum(departure - t, 0.0))
+        return values.mean(), values.std(ddof=1) / math.sqrt(reps)
+
+    return estimate
+
+
+LST_CASES = [
+    (1, 10, kernels.Constant(1.25, 10), 0.8),
+    (2, 10, kernels.Proportional(0.3, 10), 0.8),
+    (0, 8, kernels.Constant(1.0, 8), 1.0),
+]
+LST_IDS = ["k1-const", "k2-prop", "k0-const"]
 
 
 class TestReflectionRoute:
@@ -704,3 +793,76 @@ class TestReflectionRoute:
             probs = inversion.pmf_at_time(k, m, plan, law, t)
             assert abs(probs.sum() - 1.0) <= 1e-14
             assert probs.min() >= 0.0
+
+    @pytest.mark.parametrize("k, m, plan, d", LST_CASES, ids=LST_IDS)
+    def test_workload_matches_monte_carlo(self, k, m, plan, d):
+        # at t < d, at grid points and far past d; Euler scored z = 28 at
+        # (2, 10) Proportional(0.3), t = 8, alpha = 3
+        estimate = workload_monte_carlo(k, m, plan, d, 400_000, 23)
+        law = service.Deterministic(d)
+        for t in (0.5, 2 * d, 3.3, 10 * d):
+            for alpha in (0.7, 3.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = inversion.workload_lst_at_time(k, m, plan, law, alpha, t)
+                mean, se = estimate(alpha, t)
+                assert abs(mean - got) <= 4 * se
+
+    @pytest.mark.parametrize("k, m, plan, law", REFLECTION_CASES, ids=REFLECTION_IDS)
+    def test_workload_matches_euler_before_first_departure(self, k, m, plan, law):
+        # before t = d the law is smooth in t and Euler's check is quiet
+        for t in (0.3, 0.5):
+            for alpha in (0.7, 3.0):
+                got = inversion.workload_lst_at_time(k, m, plan, law, alpha, t)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", ConvergenceWarning)
+                    ref = euler.invert(
+                        lambda g: transient.workload_lst(k, m, plan, law, g, alpha), t
+                    )
+                assert abs(got - ref) <= 1e-10
+
+    @pytest.mark.parametrize("k, m, plan, law", REFLECTION_CASES, ids=REFLECTION_IDS)
+    def test_workload_node_count_has_converged(self, k, m, plan, law, monkeypatch):
+        d = law.value
+        points = [(t, alpha) for t in (0.5, 2 * d, 3.3, 20.0) for alpha in (0.7, 3.0, 1e3, 1e5)]
+        got = [inversion.workload_lst_at_time(k, m, plan, law, a, t) for t, a in points]
+        monkeypatch.setattr(inversion, "LST_NODES", 32)
+        for (t, alpha), value in zip(points, got):
+            assert abs(inversion.workload_lst_at_time(k, m, plan, law, alpha, t) - value) <= 1e-13
+
+    @pytest.mark.parametrize("k, m, plan, law", REFLECTION_CASES, ids=REFLECTION_IDS)
+    def test_workload_at_extreme_alphas(self, k, m, plan, law):
+        # alpha = 0 is the mass; a large alpha sees only W(t) = 0, whose
+        # probability is P(Z(t) = 0), up to the density of W(t) at 0+ / alpha
+        for t in (0.5, law.value, 3.3, 20.0):
+            assert inversion.workload_lst_at_time(k, m, plan, law, 0.0, t) == 1.0
+            got = inversion.workload_lst_at_time(k, m, plan, law, 1e5, t)
+            assert math.isfinite(got)
+            assert abs(got - inversion.pmf_at_time(k, m, plan, law, t)[0]) <= 1e-4
+
+    @pytest.mark.parametrize("k, m, plan, law", REFLECTION_CASES, ids=REFLECTION_IDS)
+    def test_workload_very_late_is_an_empty_queue(self, k, m, plan, law):
+        for t in (1e6, 1e308):
+            began = time.perf_counter()
+            got = inversion.workload_lst_at_time(k, m, plan, law, 0.7, t)
+            assert time.perf_counter() - began < 1.0
+            assert abs(got - 1.0) <= 1e-14
+
+    def test_zero_shift_is_the_pmf_pass(self):
+        # the pass at xi = 0 is P(Z(t) <= j); with the shifted passes on
+        # either side of the break, F(j d + xi) is nondecreasing in j d + xi
+        k, m, plan, law = REFLECTION_CASES[2]
+        d = law.value
+        for t in (0.5, d, 3.3, 20.0):
+            probs = inversion.pmf_at_time(k, m, plan, law, t)
+            rest = t - d * math.floor(t / d)
+            cdf = inversion._reflected(k, m, plan, d, t, (0.0,))
+            assert np.array_equal(np.diff(cdf[0], prepend=0.0), probs)
+            pieces = [(0.0, 0.2 * (d - rest))] + [(d - rest, 0.5 * (d + d - rest))] * (rest > 0)
+            for shifts in pieces:
+                shifted = inversion._reflected(k, m, plan, d, t, shifts)
+                grid = d * np.arange(k + m + 1)
+                x = np.r_[grid, np.add.outer(shifts, grid).ravel()]
+                values = np.r_[cdf[0], shifted.ravel()][np.argsort(x)]
+                assert np.all(np.diff(values) >= -1e-15)
+                assert np.all(shifted[:, -1] >= 1.0 - 1e-15)

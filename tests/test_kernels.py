@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from poolqueue import inversion, kernels, service
 from poolqueue.errors import DomainError, UnsupportedTransform
 
+import euler
+
 LAWS = [
     service.Exponential(1.3),
     service.Erlang(2, 2.0),
@@ -309,7 +311,7 @@ class TestDeterministicSeries:
         law = service.Deterministic(0.8)
         lam = plan.rates[0] if plan.m else 1.0
         gammas = [np.array([0.0, 0.3, 1.0, 5.0])] + [
-            inversion._euler_nodes(t, 32)[0] for t in (0.5, 2.0, 12.0)
+            euler._euler_nodes(t, 32)[0] for t in (0.5, 2.0, 12.0)
         ]
         for alpha in (0.0, 0.6, lam, 2.0 + 1.0j, 8.0):
             for gamma in gammas:

@@ -4,6 +4,8 @@ import pytest
 from poolqueue import inversion, kernels, service, simulate, transient
 from poolqueue.errors import DomainError, UnsupportedTransform
 
+import euler
+
 LAWS = [
     service.Exponential(1.3),
     service.Erlang(2, 2.0),
@@ -339,9 +341,9 @@ def contour_nodes():
     """Euler nodes at t = 1, a real node and complex nodes on a contour
     through it, and the six most far-left nodes at r = 128, where
     Deterministic tables overflow."""
-    euler, _ = inversion._euler_nodes(1.0, 32)
+    nodes, _ = euler._euler_nodes(1.0, 32)
     return np.concatenate(
-        (euler, [25.6], far_left_nodes(25.6), far_left_nodes(128.0)[-6:])
+        (nodes, [25.6], far_left_nodes(25.6), far_left_nodes(128.0)[-6:])
     )
 
 
@@ -390,7 +392,7 @@ class TestNodeAxis:
     def test_bad_node_leaves_other_nodes_unchanged(self, law):
         k, m = 2, 6
         plan = kernels.Constant(0.7, m)
-        clean = inversion._euler_nodes(1.0, 32)[0]
+        clean = euler._euler_nodes(1.0, 32)[0]
         bad = np.array([np.nan, far_left_nodes(128.0)[-1]])
         mixed = np.concatenate((bad[:1], clean[:10], bad[1:], clean[10:]))
         keep = np.isin(mixed, clean)
