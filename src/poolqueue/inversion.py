@@ -30,10 +30,18 @@ pure-death chain of the kernels, so with delta = A(t) - j as a row index
 one pass of its transition matrices e^{L tau} gives P(W(t) <= j d + xi)
 for every j: to the earliest of the C grid points, over d between them
 and over d - xi from the last to t, zeroing at each grid point the states
-that fail its bound.  At xi = 0 it is P(Z(t) <= j).  No bound zeroes a
-row delta <= 0, so one row stands for them all.  Every term is a
+that fail its bound.  At xi = 0 it is P(Z(t) <= j).  The matrices come
+from one cached death chain per (plan, d) (kernels._death_chain): the
+first step is its orbit e_m P^j under the Poisson weights of the first
+time, and each grid step, like the last at xi = 0, is its e^{L d}, whose
+rows are rescaled to sum to 1 so that repeated steps leak no mass.  No
+bound zeroes a row delta <= 0, so one row stands for them all, and no
+grid point more than max(top, 1) before the last (top the largest row
+read out) zeroes any row: the rows stay equal up to there, and the steps
+up to there are one jump of the single law vector by binary powers of
+e^{L d}, O(log C) products, renormalized to mass 1.  Every term is a
 probability, and once the pool has drained no bound can fail, so the pass
-stops there.
+stops there; a pool that never drains costs the jump, not C steps.
 
 The workload transform, alpha times the integral of e^{-alpha x}
 P(W(t) <= x), takes LST_NODES-point Gauss-Legendre in xi on each side of
@@ -237,8 +245,10 @@ def _grid(t, d):
     """(C, t - C d), C the largest integer with C d <= t in floating point,
     as _reflected's readout rounds it, so that at t = j d the departure at
     j d has happened.  Past 2^52 steps the products no longer resolve d,
-    but the pass stops at the drain long before a bound can bind, so any
-    C that large serves, with t - C d taken exactly by fmod."""
+    but any C that large serves, with t - C d taken exactly by fmod: a
+    pool still not drained after 2^62 steps has a rate below about
+    2^-62 / d, so its last k + m grid steps see an arrival with
+    probability about (k + m) 2^-62."""
     steps = t // d
     if steps >= 2.0**52:
         return 2**62, fmod(t, d)
@@ -250,36 +260,58 @@ def _grid(t, d):
     return steps, t - steps * d
 
 
+def _jump(law, step, count):
+    """law step^count by binary powers of step, renormalized to mass 1: the
+    unmasked grid steps in O(log count) products."""
+    while count:
+        if count & 1:
+            law = law @ step
+        count >>= 1
+        if count:
+            step = step @ step
+    return law / law.sum(axis=-1, keepdims=True)
+
+
 def _reflected(k, m, plan, d, t, shifts):
     """F[i, j] = P(W(t) <= j d + shifts[i]), j = 0..k+m, by the reflection map
     (module docstring) at shifts in [0, d) on one side of the break.  Row
     delta of x[i] holds P(the grid bounds so far hold, outstanding count n)
-    for A(t) - j = delta; row 0 stands for every delta <= 0."""
+    for A(t) - j = delta; row 0 stands for every delta <= 0.
+
+    The steps are the (plan, d) death chain's (kernels._death_chain): the
+    first is its orbit under each shift's Poisson weights, each grid step
+    is its e^{L d}, and so is the last at xi = 0; other shifts take their
+    own e^{L (d - xi)}.  Grid point j, at offset s = C - 1 - j from the
+    last, masks no row while s >= max(top, 1), so the steps before the
+    last max(top, 1) grid points are one _jump of the single law vector."""
     _check_time(t)
+    chain = kernels._death_chain(plan, d)
     steps, rest = _grid(t, d)
     shifts = np.asarray(shifts, dtype=float)
     if shifts[0] >= d - rest:  # past the piece break: one grid point more
         steps, rest = steps + 1, rest - d
     count = len(shifts)
-    firsts = rest + shifts if steps else np.full(count, t)
-    exps = kernels._death_exponentials(plan, d, np.concatenate((firsts, [d], d - shifts)))
-    first, step, last = exps[:count], exps[count], exps[count + 1 :]
     arrived = m - np.arange(m + 1)  # A along the outstanding count n
     top = min(m, steps - k)  # the last row the bound (delta + k) d <= t + xi admits
     below = min(0, top)  # row 0 holds the rows -(k + m)..below
     # Row 1 is stepped even where the readout drops it: a single row would
     # take numpy's vector-matrix product, which rounds unlike the matrix one.
     deltas = np.arange(max(top, 1) + 1)[:, None]
+    masked = min(steps, len(deltas) - 1)  # the grid points that can mask a row
+    law = chain.weights(rest + shifts if steps else np.full(count, t)) @ chain.orbit
+    x = np.repeat(_jump(law, chain.step, steps - masked)[:, None], len(deltas), axis=1)
+    # bounds[j + delta] is the bound A >= delta - (masked - 1 - j) of grid point j
+    bounds = arrived >= np.arange(1 - masked, len(deltas))[:, None]
+    last = chain.step if not shifts.any() else kernels._death_exponentials(plan, d, d - shifts)
     copies = np.concatenate(([below + k + m + 1], deltas[1:, 0] <= top))  # for the drain stop
-    x = np.repeat(first[:, None, m], len(deltas), axis=1)
-    for j in range(steps):
+    for j in range(masked):
         if x[:, :, 1:].sum(axis=(0, 2)) @ copies < 1e-18:
             # Drained: A stays put and the bounds only tighten, to A >= delta.
-            x *= arrived >= deltas
+            x *= bounds[masked - 1 :]
             break
-        x *= arrived >= deltas - (steps - 1 - j)  # the bound at t + xi - (C - j) d
-        if j < steps - 1:
-            x = (x.reshape(-1, m + 1) @ step).reshape(x.shape)
+        x *= bounds[j : j + len(deltas)]
+        if j < masked - 1:
+            x = (x.reshape(-1, m + 1) @ chain.step).reshape(x.shape)
         else:
             x = x @ last  # from the last grid point t + xi - d to t
     # F[i, j]: row 0's mass at A <= j + below, then x[i, delta, A = j + delta] by delta

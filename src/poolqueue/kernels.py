@@ -38,6 +38,7 @@ computed by the same products as a scalar gamma, which is a batch of one.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import ceil, inf, lgamma, log, sqrt
 
 import numpy as np
@@ -151,38 +152,73 @@ def _kill_integrals(x, y, w):
     return g.reshape(shape)
 
 
-def _death_poisson(plan, d, taus):
-    """(lams, q, y, w): the death rates (0, lambda_1, ..., lambda_m),
-    q = max(lambda_max, 1/d), y = q d and, per time tau in [0, d] of taus,
-    the Poisson(q tau) weights w[i, j] with e^{L tau} = sum_j w[i, j] P^j.
-    Terms past y + 9 sqrt(y) + 10 carry under 1e-17 of Poisson(y), the
-    widest of them, so one count serves every tau."""
-    lams = np.concatenate(([0.0], plan_rates(plan)))
-    top = float(lams.max())
-    q, y = max(top, 1.0 / d), max(top * d, 1.0)
-    if not y < inf:
-        raise DomainError(f"lambda_max * d = {top:g} * {d:g} is not finite")
-    terms = np.arange(ceil(y + 9.0 * sqrt(y) + 10.0))
-    # over Python ints: lgamma of a numpy scalar is eight times slower
-    log_factorials = np.array([lgamma(j + 1.0) for j in range(len(terms))])
-    weights = np.zeros((len(taus), len(terms)))
-    weights[:, 0] = 1.0  # e^{L 0} = I
-    for row, tau in zip(weights, taus):
-        if tau > 0:
-            y_tau = y * (tau / d)
-            row[:] = np.exp(terms * log(y_tau) - y_tau - log_factorials)
-            # Rounding in j log(y) would leave the sum off by ~1e-13 at y ~ 1000.
-            row /= row.sum()
-    return lams, q, y, weights
+class _DeathChain:
+    """The gamma-free uniformized death chain of one (plan, d): the rates
+    lams = (0, lambda_1, ..., lambda_m), q = max(lambda_max, 1/d), y = q d,
+    log j! for the y + 9 sqrt(y) + 10 Poisson terms (past them under 1e-17
+    of Poisson(y), the widest weight, is left, so one count serves every
+    tau in [0, d]), and, built on first use, step and orbit.  The arrays
+    are read-only: _death_chain shares one chain among all callers."""
+
+    def __init__(self, plan, d):
+        self.d, self.lams = d, np.concatenate(([0.0], plan_rates(plan)))
+        top = float(self.lams.max())
+        self.q, self.y = max(top, 1.0 / d), max(top * d, 1.0)
+        if not self.y < inf:
+            raise DomainError(f"lambda_max * d = {top:g} * {d:g} is not finite")
+        # over Python ints: lgamma of a numpy scalar is eight times slower
+        terms = ceil(self.y + 9.0 * sqrt(self.y) + 10.0)
+        self.log_factorials = np.array([lgamma(j + 1.0) for j in range(terms)])
+        self.lams.flags.writeable = self.log_factorials.flags.writeable = False
+
+    @cached_property
+    def step(self):
+        """e^{L d} with each row rescaled to sum to 1, so that row 0 is e_0
+        exactly and repeated steps leak no mass."""
+        step = _death_series(self.lams, self.q, self.weights((self.d,)))[0][0]
+        step /= step.sum(axis=1, keepdims=True)
+        step.flags.writeable = False
+        return step
+
+    @cached_property
+    def orbit(self):
+        """orbit[j] = e_m P^j, the full pool's law after j uniformized steps,
+        one row per Poisson term."""
+        stay, move = 1.0 - self.lams / self.q, self.lams[1:] / self.q
+        orbit = np.zeros((len(self.log_factorials), len(self.lams)))
+        orbit[0, -1] = 1.0
+        for j in range(1, len(orbit)):
+            np.multiply(stay, orbit[j - 1], out=orbit[j])
+            orbit[j, :-1] += move * orbit[j - 1, 1:]
+        orbit.flags.writeable = False
+        return orbit
+
+    def weights(self, taus):
+        """The Poisson(q tau) weights w[i, j] with e^{L tau} = sum_j w[i, j] P^j,
+        one row per tau in [0, d] of taus."""
+        terms = np.arange(len(self.log_factorials))
+        weights = np.zeros((len(taus), len(terms)))
+        weights[:, 0] = 1.0  # e^{L 0} = I
+        for row, tau in zip(weights, taus):
+            if tau > 0:
+                y_tau = self.y * (tau / self.d)
+                row[:] = np.exp(terms * log(y_tau) - y_tau - self.log_factorials)
+                # Rounding in j log(y) would leave the sum off by ~1e-13 at y ~ 1000.
+                row /= row.sum()
+        return weights
+
+
+_death_chain = lru_cache(maxsize=16)(_DeathChain)
 
 
 def _death_exponentials(plan, d, taus):
     """e^{L tau} for each tau in [0, d] of taus, stacked on the first axis:
     the law after tau of the outstanding count, as a matrix [n, n'].
     n = 0 absorbs: its row is set to e_0, where the series would leave the
-    weights' rounding, which repeated steps would add up."""
-    lams, q, _, weights = _death_poisson(plan, d, taus)
-    out = _death_series(lams, q, weights)[0]
+    weights' rounding.  The reflection pass takes these for its last steps
+    at shifts xi > 0; its other steps are the cached chain's."""
+    chain = _death_chain(plan, d)
+    out = _death_series(chain.lams, chain.q, chain.weights(taus))[0]
     out[:, 0, 0] = 1.0
     return out
 
@@ -190,11 +226,12 @@ def _death_exponentials(plan, d, taus):
 def _deterministic_tables(plan, d, gamma, alpha, scale):
     """u = e^{(L - gamma) d} and scale r(alpha), with r(alpha) the integral
     of e^{(L - gamma) t} e^{-alpha (d - t)} over [0, d], as power series in
-    P = I + L/q (see _death_poisson): u = e^{-gamma d} E for the gamma-free
+    P = I + L/q (see _DeathChain): u = e^{-gamma d} E for the gamma-free
     E = sum_j e^{-y} y^j/j! P^j = e^{L d}, and r = sum_j d e^{-alpha d} G_j
     P^j with x = (q + gamma - alpha) d.  The term count bounds both tails
     and depends on y alone, so nodes do not mix."""
-    lams, q, y, (poisson,) = _death_poisson(plan, d, (d,))
+    chain = _death_chain(plan, d)
+    lams, q, y, (poisson,) = chain.lams, chain.q, chain.y, chain.weights((d,))
     gammas = np.asarray(gamma)
     g = _kill_integrals(
         y + (gammas - alpha) * d, y, poisson * np.exp((alpha - gammas) * d)[..., None]

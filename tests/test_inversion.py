@@ -668,6 +668,50 @@ def workload_monte_carlo(k, m, plan, d, reps, seed):
     return estimate
 
 
+def stepped_reflection(k, m, plan, d, t, shifts):
+    """_reflected as a plain masked pass: fresh matrix exponentials for the
+    first, grid and last steps, every grid point stepped, and the drain
+    stop.  The reference the cached chain and the jump are tested against."""
+    steps, rest = inversion._grid(t, d)
+    shifts = np.asarray(shifts, dtype=float)
+    if shifts[0] >= d - rest:
+        steps, rest = steps + 1, rest - d
+    count = len(shifts)
+    firsts = rest + shifts if steps else np.full(count, t)
+    exps = kernels._death_exponentials(plan, d, np.concatenate((firsts, [d], d - shifts)))
+    first, step, last = exps[:count], exps[count], exps[count + 1 :]
+    arrived = m - np.arange(m + 1)
+    top = min(m, steps - k)
+    below = min(0, top)
+    deltas = np.arange(max(top, 1) + 1)[:, None]
+    copies = np.concatenate(([below + k + m + 1], deltas[1:, 0] <= top))
+    x = np.repeat(first[:, None, m], len(deltas), axis=1)
+    for j in range(steps):
+        if x[:, :, 1:].sum(axis=(0, 2)) @ copies < 1e-18:
+            x *= arrived >= deltas
+            break
+        x *= arrived >= deltas - (steps - 1 - j)
+        x = x @ (step if j < steps - 1 else last)
+    size = k + m + 1
+    held = np.cumsum(x[:, 0, ::-1], axis=1)[:, np.minimum(np.arange(size + below), m)]
+    levels = arrived - deltas[1 : top + 1]
+    kept = levels >= 0
+    levels = np.concatenate((np.arange(-below, size), levels[kept]))
+    bins = levels + size * np.arange(count)[:, None]
+    masses = np.concatenate((held, x[:, 1 : top + 1][:, kept]), axis=1)
+    return np.bincount(bins.ravel(), masses.ravel(), count * size).reshape(count, size)
+
+
+def piece_shifts(t, d):
+    """Shifts xi on either side of the break d - (t mod d), as _reflected
+    takes them: a side per call."""
+    rest = t - d * math.floor(t / d)
+    pieces = [(0.0, 0.2 * (d - rest), 0.9 * (d - rest))]
+    if rest > 0:
+        pieces.append((d - rest, 0.5 * (d + d - rest), d - 0.01 * rest))
+    return pieces
+
+
 LST_CASES = [
     (1, 10, kernels.Constant(1.25, 10), 0.8),
     (2, 10, kernels.Proportional(0.3, 10), 0.8),
@@ -866,3 +910,72 @@ class TestReflectionRoute:
                 values = np.r_[cdf[0], shifted.ravel()][np.argsort(x)]
                 assert np.all(np.diff(values) >= -1e-15)
                 assert np.all(shifted[:, -1] >= 1.0 - 1e-15)
+
+    @pytest.mark.parametrize("k, m, plan, law", REFLECTION_CASES, ids=REFLECTION_IDS)
+    def test_matches_the_stepped_pass(self, k, m, plan, law):
+        # the cached chain, the jump and the rescaled rows change only rounding
+        d = law.value
+        for t in (0.3, d, 2.5 * d, 3.3, 7 * d, 20.0):
+            for shifts in [(0.0,)] + piece_shifts(t, d):
+                got = inversion._reflected(k, m, plan, d, t, shifts)
+                want = stepped_reflection(k, m, plan, d, t, shifts)
+                assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_one_death_chain_per_plan_and_d(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _series=kernels._death_series):
+            calls.append(None)
+            return _series(*args)
+
+        monkeypatch.setattr(kernels, "_death_series", counted)
+        plan, law = kernels.Constant(1.1, 10), service.Deterministic(0.8)
+        times = (0.5, 1.0, 2.0, 4.0, 8.0, 12.0)
+        kernels._death_chain.cache_clear()
+        first = [inversion.pmf_at_time(1, 10, plan, law, t) for t in times]
+        assert len(calls) == 1
+        calls.clear()
+        for t, probs in zip(times, first):
+            assert np.array_equal(inversion.pmf_at_time(1, 10, plan, law, t), probs)
+        assert not calls
+        chain = kernels._death_chain(plan, 0.8)
+        for array in (chain.lams, chain.log_factorials, chain.step, chain.orbit):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        assert np.max(np.abs(chain.step.sum(axis=1) - 1.0)) <= 4.5e-16  # two ulps
+
+    def test_an_empty_pool_stays_empty_exactly(self):
+        # n = 0 absorbs: row 0 of the cached e^{L d} and of every fresh
+        # e^{L tau} is e_0, where the Poisson weights sum to 1 only up to
+        # rounding
+        plan, d = kernels.Constant(1.1, 10), 0.8
+        taus = np.linspace(0.1, d, 8)
+        fresh = kernels._death_exponentials(plan, d, taus)[:, 0]
+        rows = np.r_[kernels._death_chain(plan, d).step[:1], fresh]
+        assert np.array_equal(rows, np.tile(np.eye(11)[0], (len(taus) + 1, 1)))
+
+    def test_never_draining_pool_jumps_its_grid_steps(self):
+        # rates 1e-25 keep the drain stop from firing; stepping every grid
+        # point took 3.4 s at t = 1e5 and left 1.1e-11 of P(Z(t) = 0) out
+        plan, law = kernels.General((1e-25,) * 20), service.Deterministic(1.0)
+        for t in (1e4, 1e5, 1e308):
+            began = time.perf_counter()
+            probs = inversion.pmf_at_time(2, 20, plan, law, t)
+            assert time.perf_counter() - began < 0.1
+            assert abs(probs[0] - 1.0) <= 1e-14
+        began = time.perf_counter()
+        got = inversion.workload_lst_at_time(2, 20, plan, law, 0.7, 1e4)
+        assert time.perf_counter() - began < 1.0
+        assert abs(got - 1.0) <= 1e-14
+
+    def test_passes_leak_no_mass(self):
+        # e^{L d} with unit row sums and a jump renormalized to mass 1: the
+        # stepped pass lost 1.4e-15 at t = 100 and 1.8e-14 at (5, 200)
+        k, m, plan, law = REFLECTION_CASES[2]
+        for t in (20.0, 40.0, 100.0):
+            for shifts in piece_shifts(t, law.value):
+                cdf = inversion._reflected(k, m, plan, law.value, t, shifts)
+                assert np.all(cdf[:, -1] >= 1.0 - 1e-15)
+        plan, law = kernels.Constant(1.1875, 200), service.Deterministic(0.8)
+        for t in (120.0, 1000.0):
+            assert abs(inversion.pmf_at_time(5, 200, plan, law, t).sum() - 1.0) <= 1e-15
