@@ -302,7 +302,6 @@ def _reflected(k, m, plan, d, t, shifts):
     x = np.repeat(_jump(law, chain.step, steps - masked)[:, None], len(deltas), axis=1)
     # bounds[j + delta] is the bound A >= delta - (masked - 1 - j) of grid point j
     bounds = arrived >= np.arange(1 - masked, len(deltas))[:, None]
-    last = chain.step if not shifts.any() else kernels._death_exponentials(plan, d, d - shifts)
     copies = np.concatenate(([below + k + m + 1], deltas[1:, 0] <= top))  # for the drain stop
     for j in range(masked):
         if x[:, :, 1:].sum(axis=(0, 2)) @ copies < 1e-18:
@@ -312,8 +311,10 @@ def _reflected(k, m, plan, d, t, shifts):
         x *= bounds[j : j + len(deltas)]
         if j < masked - 1:
             x = (x.reshape(-1, m + 1) @ chain.step).reshape(x.shape)
+        elif shifts.any():  # e^{L (d - xi)} from the last grid point t + xi - d to t
+            x = chain.series(x, chain.weights(d - shifts))
         else:
-            x = x @ last  # from the last grid point t + xi - d to t
+            x = x @ chain.step
     # F[i, j]: row 0's mass at A <= j + below, then x[i, delta, A = j + delta] by delta
     size = k + m + 1
     held = np.cumsum(x[:, 0, ::-1], axis=1)[:, np.minimum(np.arange(size + below), m)]

@@ -110,8 +110,8 @@ def lst(law, s):
     """Laplace-Stieltjes transform E[e^{-s B}] at Re s >= 0."""
     _require_transform(law)
     if s.real < 0 and s.imag == 0:
-        # Complex off-axis arguments are allowed: the inversion contours
-        # evaluate the analytic continuation in the left half-plane.
+        # Complex off-axis arguments are allowed: the tests' Euler oracle
+        # evaluates the analytic continuation in the left half-plane.
         raise DomainError("lst requires Re s >= 0")
     if isinstance(law, Exponential):
         return law.rate / (law.rate + s)

@@ -41,23 +41,18 @@ __all__ = [
 ]
 
 
-def _polyval(z, coeffs):
-    """The polynomial with coefficients on the last axis of coeffs, at z."""
-    return np.polynomial.polynomial.polyval(z, np.moveaxis(coeffs, -1, 0))
-
-
 @dataclass(frozen=True)
 class PgfPolynomial:
-    """Coefficient view of E[z^{Z(T)}]: coeffs[..., l] = P(Z(T) = l)."""
+    """Coefficient view of E[z^{Z(T)}]: coeffs[l] = P(Z(T) = l)."""
 
     coeffs: np.ndarray
 
     @property
     def degree(self):
-        return self.coeffs.shape[-1] - 1
+        return len(self.coeffs) - 1
 
     def __call__(self, z):
-        return _polyval(z, self.coeffs)
+        return np.polynomial.polynomial.polyval(z, self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ class JointTransformValue:
     coeffs: np.ndarray
 
     def __call__(self, z):
-        return _polyval(z, self.coeffs)
+        return np.polynomial.polynomial.polyval(z, self.coeffs)
 
 
 def sweep(k, m, plan, gamma, u, v):
@@ -76,93 +71,74 @@ def sweep(k, m, plan, gamma, u, v):
 
     Every service completion lowers l + n by one, so the mass on diagonal s
     is a vector over n (with l = s - n) and one step maps it to diagonal
-    s - 1 through the kernel matrix u[..., n, n'], n' = n - i after i
-    arrivals.  Mass killed during a service from (l, n) leaves c = l + i
-    present and n' still to arrive, with weight v[..., n, n'].  The empty
-    state (0, s) is resolved within its diagonal first: killed onto (0, s)
-    with probability gamma / (gamma + lambda_s), otherwise moved to
-    (1, s - 1).
+    s - 1 through the kernel matrix u[n, n'], n' = n - i after i arrivals.
+    Mass killed during a service from (l, n) leaves c = l + i present and
+    n' still to arrive, with weight v[n, n'].  The empty state (0, s) is
+    resolved within its diagonal first: killed onto (0, s) with probability
+    gamma / (gamma + lambda_s), otherwise moved to (1, s - 1).
 
-    gamma is a scalar or a 1-D array of killing rates, and u and v have
-    shape gamma.shape + (m + 1, m + 1) (see kernels.kernel_rows); every
-    node is swept at once.  Returns (joint, empty), each with that
-    leading shape and the dtype of gamma and the kernels: joint[..., c, n'],
-    the killed mass that leaves c present and n' still to arrive, the
-    (0, s) kills and the final (0, 0) mass on row c = 0; and empty[..., s],
-    the mass on (0, s) just before it is resolved, for s = 0..m.  At a real
-    deadline joint is the law of (Z(T), N(T)).  At gamma = 0 nothing is
-    killed, so empty[s] is the probability that the system is empty just
-    after departure k + m - s.
+    gamma is one killing rate and u and v are the (m + 1, m + 1) matrices
+    of kernels.kernel_rows at it.  Returns (joint, empty), with the dtype
+    of gamma and the kernels: joint[c, n'], the killed mass that leaves c
+    present and n' still to arrive, the (0, s) kills and the final (0, 0)
+    mass on row c = 0; and empty[s], the mass on (0, s) just before it is
+    resolved, for s = 0..m.  At a real deadline joint is the law of
+    (Z(T), N(T)).  At gamma = 0 nothing is killed, so empty[s] is the
+    probability that the system is empty just after departure k + m - s.
 
-    v may carry a trailing phase axis, v[..., n, n', phi], such as the
-    phase vectors x_i of the kernel recursion; joint[..., c, n', phi] then
-    carries it too, in the same pass.  Its row c = 0, where nobody is in
-    service, is left zero.
+    v may carry a trailing phase axis, v[n, n', phi], such as the phase
+    vectors x_i of the kernel recursion; joint[c, n', phi] then carries it
+    too, in the same pass.  Its row c = 0, where nobody is in service, is
+    left zero.
     """
     size = m + 1
-    batch = np.shape(gamma)
-    phases = np.shape(v)[len(batch) + 2 :]
+    phases = np.shape(v)[2:]
     width = int(np.prod(phases))
     dtype = np.result_type(gamma, u, v)
     step = u.astype(dtype, copy=False)
-    deposit = v.astype(dtype, copy=False).reshape(batch + (size, size * width))
-    # Each node's vectors are 1-row matrices, so that one matmul steps them
-    # all; joint is kept flat, its entry (c, n') at c * size + n', with the
+    deposit = v.astype(dtype, copy=False).reshape(size, size * width)
+    # joint is kept flat, its entry (c, n') at c * size + n', with the
     # phases (if any) on a last axis.
-    joint = np.zeros(batch + (1, (k + m + 1) * size, width), dtype=dtype)
-    empty = np.zeros(batch + (1, size), dtype=dtype)
-    mass = np.zeros(batch + (1, size), dtype=dtype)
-    mass[..., m] = 1.0
-    gammas = np.reshape(gamma, batch + (1, 1))
+    joint = np.zeros(((k + m + 1) * size, width), dtype=dtype)
+    empty = np.zeros(size, dtype=dtype)
+    mass = np.zeros(size, dtype=dtype)
+    mass[m] = 1.0
     lams = kernels.plan_rates(plan)
-    kill = gammas / (gammas + lams)
-    stay = lams / (gammas + lams)
+    kill = gamma / (gamma + lams)
+    stay = lams / (gamma + lams)
     for s in range(k + m, 0, -1):
         if s <= m:
-            held = mass[..., s]
-            empty[..., s] = held
-            mass[..., s - 1] += stay[..., s - 1] * held
+            empty[s] = mass[s]
+            mass[s - 1] += stay[s - 1] * mass[s]
         # States with l >= 1 on this diagonal: n = 0..top, l = s..s-top.
         top = min(s - 1, m)
-        busy = mass[..., : top + 1]
-        killed = busy @ deposit[..., : top + 1, : (top + 1) * width]
+        busy = mass[: top + 1]
+        killed = busy @ deposit[: top + 1, : (top + 1) * width]
         # (s - n', n') sits at flat index s * size - n' * m: n' = top..0 is
         # one stride-m slice, which no other diagonal writes.
         flat = s * size
-        joint[..., flat - top * m : flat + 1 : max(m, 1), :] = killed.reshape(
-            batch + (1, top + 1, width)
-        )[..., ::-1, :]
-        mass = np.zeros(batch + (1, size), dtype=dtype)
-        mass[..., : top + 1] = busy @ step[..., : top + 1, : top + 1]
-    joint = joint.reshape(batch + (k + m + 1, size) + phases)
-    empty[..., 0] = mass[..., 0]
+        joint[flat - top * m : flat + 1 : max(m, 1)] = killed.reshape(top + 1, width)[::-1]
+        mass = np.zeros(size, dtype=dtype)
+        mass[: top + 1] = busy @ step[: top + 1, : top + 1]
+    joint = joint.reshape((k + m + 1, size) + phases)
+    empty[0] = mass[0]
     if not phases:
         # The kills at (0, s), and (0, 0): nobody present and nobody left to arrive.
-        joint[..., 0, 1:] = (kill * empty[..., 1:])[..., 0, :]
-        joint[..., 0, 0] = mass[..., 0, 0]
-    return joint, empty[..., 0, :]
-
-
-def _check_gamma(gamma):
-    """A real killing rate must be finite and nonnegative.  Complex node
-    arrays pass unchecked: an inversion contour may carry nodes that fail,
-    and each node's values are independent of the others."""
-    if np.isrealobj(gamma) and not np.all((0 <= gamma) & (gamma < np.inf)):
-        raise DomainError(f"gamma must be finite and nonnegative, got {gamma}")
+        joint[0, 1:] = kill * empty[1:]
+        joint[0, 0] = mass[0]
+    return joint, empty
 
 
 def pgf(k, m, plan, law, gamma):
     """PGF of the customer count at an independent Exp(gamma) deadline.
 
     Returns the polynomial whose coefficients are P(Z(T) = l) starting from
-    k customers present and m yet to arrive.  gamma may be complex, in
-    which case the coefficients are complex-valued transform evaluations,
-    and may be a 1-D array of killing rates, in which case coeffs has one
-    row per rate.
+    k customers present and m yet to arrive.  gamma is one killing rate,
+    checked by kernels.kernel_rows; it may be complex, in which case the
+    coefficients are complex-valued transform evaluations.
     """
     if k < 0 or m < 0:
         raise ValueError("k and m must be nonnegative")
-    _check_gamma(gamma)
     tables = kernels.build_tables(plan, law, gamma)
     joint, _ = sweep(k, m, plan, gamma, tables.u, tables.v)
     return PgfPolynomial(coeffs=joint.sum(-1))
@@ -174,41 +150,38 @@ def joint_transform(k, m, plan, law, gamma, alpha):
     One kernel build at alpha and one sweep: the row sums of the joint
     table for c >= 1 present carry beta(alpha)^{c-1} for the services
     still queued behind the residual one.  At alpha = 0 it reduces to
-    pgf().  The coefficients are real at real gamma and alpha.  gamma may
-    be an array of killing rates, as in pgf(); alpha is a scalar.
+    pgf().  The coefficients are real at real gamma and alpha.
     """
     if not 0 <= alpha.real < np.inf:
         raise DomainError(f"alpha must have finite nonnegative real part, got {alpha}")
-    _check_gamma(gamma)
     u, v = kernels.kernel_rows(plan, law, gamma, alpha, gamma)
     joint, _ = sweep(k, m, plan, gamma, u, v)
     coeffs = joint.sum(-1)
-    coeffs[..., 1:] *= service.lst(law, alpha) ** np.arange(k + m)
+    coeffs[1:] *= service.lst(law, alpha) ** np.arange(k + m)
     return JointTransformValue(alpha=alpha, coeffs=coeffs)
 
 
 def workload_lst(k, m, plan, law, gamma, alpha):
-    """E[e^{-alpha W(T)}], one value per gamma: the joint transform at z = 1."""
-    return joint_transform(k, m, plan, law, gamma, alpha).coeffs.sum(-1)
+    """E[e^{-alpha W(T)}]: the joint transform at z = 1."""
+    return joint_transform(k, m, plan, law, gamma, alpha).coeffs.sum()
 
 
 def pmf(k, m, plan, law, gamma):
-    """P(Z(T) = l) for l = 0..k+m on the last axis (the PGF's coefficients)."""
+    """P(Z(T) = l) for l = 0..k+m (the PGF's coefficients)."""
     return pgf(k, m, plan, law, gamma).coeffs
 
 
 def factorial_moments(k, m, plan, law, gamma, max_order):
     """E[Z(Z-1)...(Z-l+1)] at the deadline, for l = 0..max_order.
 
-    Index l of the last axis is the l-th falling-factorial moment; the
-    empty product at l = 0 gives 1.  gamma may be an array of killing
-    rates, as in pgf(), whose shape then leads.
+    Index l is the l-th falling-factorial moment; the empty product at
+    l = 0 gives 1.
     """
     probs = pmf(k, m, plan, law, gamma)
     # falling[j, l] = j (j - 1) ... (j - l + 1), zero for j < l
-    falling = np.ones((probs.shape[-1], max_order + 1))
+    falling = np.ones((len(probs), max_order + 1))
     falling[:, 1:] = np.cumprod(
-        np.subtract.outer(np.arange(probs.shape[-1]), np.arange(max_order, dtype=float)),
+        np.subtract.outer(np.arange(len(probs)), np.arange(max_order, dtype=float)),
         axis=1,
     )
     return probs @ falling

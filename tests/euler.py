@@ -8,9 +8,9 @@ deterministic time.  The Euler method (Abate and Whitt, ORSA J. Computing
 accelerates it by binomial averaging.  Following Abate and Whitt's unified
 framework, the method checks itself at a second precision setting: Euler
 with ANSWER_NODES gives the answer, Euler with CHECK_NODES the check.  The
-transform is evaluated at the nodes of both at once: the kernel tables and
-the sweep take the nodes as an array of killing rates, so a time point
-costs one table build and one sweep.  The functions of t jump at the
+transform is evaluated at each node of both in turn: the kernel tables and
+the sweep take one killing rate per call, so a time point costs one table
+build and one sweep per node.  The functions of t jump at the
 Deterministic departure epochs, where the series converges slowly, so the
 oracle serves only where its check is quiet.
 """
@@ -49,11 +49,10 @@ def invert(fhat, t):
     fhat is the deadline-expectation form E[f at an Exp(gamma) time]; its
     division by gamma gives the plain Laplace transform inverted here.  A
     contour is a set of nodes s_j with weights w_j, and
-    f(t) = Re sum_j w_j fhat(s_j) / s_j.  fhat is called once, with the
-    1-D array of the nodes of both Euler contours, and returns an array
-    with the nodes on its last axis, or a scalar that holds at every node.
-    The result is the ANSWER_NODES estimate, with the shape of one node's
-    value: an array, inverted componentwise, or else a float.  One
+    f(t) = Re sum_j w_j fhat(s_j) / s_j.  fhat is called once at each
+    node of both Euler contours, a complex scalar, and returns an array or
+    a scalar.  The result is the ANSWER_NODES estimate, with the shape of
+    one node's value: an array, inverted componentwise, or else a float.  One
     ConvergenceWarning is emitted unless every component of it agrees with
     the CHECK_NODES estimate within tolerance (a NaN never agrees).
     """
@@ -62,8 +61,7 @@ def invert(fhat, t):
     answer_nodes, answer_weights = _euler_nodes(t, ANSWER_NODES)
     check_nodes, check_weights = _euler_nodes(t, CHECK_NODES)
     s = np.concatenate((answer_nodes, check_nodes))
-    values = np.asarray(fhat(s))
-    transform = np.broadcast_to(values, values.shape[:-1] + s.shape) / s
+    transform = np.moveaxis(np.array([fhat(node) for node in s]), 0, -1) / s
     split = len(answer_nodes)
     estimate = np.real(transform[..., :split] @ answer_weights)
     gap = np.abs(estimate - np.real(transform[..., split:] @ check_weights))

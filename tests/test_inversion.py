@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from poolqueue import inversion, kernels, service, simulate, transient
 from poolqueue.errors import ConvergenceWarning, DomainError
@@ -21,8 +22,14 @@ def euler_pmf(k, m, plan, law, t):
     """P(Z(t) = l) by Euler inversion of the deadline PMF, as it comes out
     of invert: the inversion route on its own, whatever route pmf_at_time
     takes for the law."""
-    return euler.invert(
-        lambda gamma: np.moveaxis(transient.pmf(k, m, plan, law, gamma), -1, 0), t
+    return euler.invert(lambda gamma: transient.pmf(k, m, plan, law, gamma), t)
+
+
+def both_contours(t):
+    """The nodes of both Euler contours at t, in the order invert calls
+    fhat at them."""
+    return np.concatenate(
+        [euler._euler_nodes(t, count)[0] for count in (euler.ANSWER_NODES, euler.CHECK_NODES)]
     )
 
 
@@ -79,7 +86,8 @@ class TestInvert:
         # the check contour only warns: the value is the ANSWER_NODES sum
         fhat = KNOWN_PAIRS[4][0]
         s, weights = euler._euler_nodes(t, euler.ANSWER_NODES)
-        assert euler.invert(fhat, t) == np.real(fhat(s) / s @ weights)
+        values = np.array([fhat(g) for g in s])
+        assert euler.invert(fhat, t) == np.real(values / s @ weights)
 
     def test_cross_check_warns_on_rough_original(self):
         # a unit step at t = 1 defeats both node counts right at the jump
@@ -90,13 +98,11 @@ class TestInvert:
     def test_cross_check_warns_on_nan(self, t):
         # a NaN at one node of either contour is a disagreement, also when
         # it lies on the check contour and the answer stays finite
-        count = euler.ANSWER_NODES + euler.CHECK_NODES + 2
-        for bad in (0, count - 1):
+        nodes = both_contours(t)
+        for bad in (0, len(nodes) - 1):
 
             def fhat(g):
-                values = g / (g + 1.0)
-                values[bad] = np.nan
-                return values
+                return np.nan if g == nodes[bad] else g / (g + 1.0)
 
             with pytest.warns(ConvergenceWarning, match="nan"):
                 got = euler.invert(fhat, t)
@@ -121,14 +127,17 @@ class TestInvert:
                 inversion.pmf_at_time(1, 3, plan, law, float("inf"))
 
     def test_fhat_called_once_with_every_node(self):
-        shapes = []
+        calls = []
 
         def fhat(g):
-            shapes.append(np.shape(g))
+            calls.append(g)
             return g / (g + 1.0)
 
         got = euler.invert(fhat, 1.0)
-        assert shapes == [(74,)]
+        nodes = both_contours(1.0)
+        assert len(set(nodes.tolist())) == 74  # distinct: each is called exactly once
+        assert all(np.ndim(g) == 0 for g in calls)
+        assert np.array_equal(calls, nodes)
         assert got == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_pmf_at_time_builds_tables_once(self, monkeypatch):
@@ -143,13 +152,13 @@ class TestInvert:
             monkeypatch.setattr(owner, name, counted)
         plan = kernels.Constant(0.9, 4)
         euler_pmf(2, 4, plan, service.Erlang(2, 2.0), 1.5)
-        assert calls == {"build_tables": 1, "sweep": 1}
+        assert calls == {"build_tables": 74, "sweep": 74}  # one per node
         euler_pmf(2, 4, plan, service.Deterministic(0.8), 0.5)
-        assert calls == {"build_tables": 2, "sweep": 2}
+        assert calls == {"build_tables": 148, "sweep": 148}
         # pmf_at_time never inverts
         inversion.pmf_at_time(2, 4, plan, service.Deterministic(0.8), 0.5)
         inversion.pmf_at_time(2, 4, plan, service.Erlang(2, 2.0), 1.5)
-        assert calls == {"build_tables": 2, "sweep": 2}
+        assert calls == {"build_tables": 148, "sweep": 148}
 
     def test_config_validation(self):
         # the tolerance is the one setting: method and node counts are fixed
@@ -669,16 +678,20 @@ def workload_monte_carlo(k, m, plan, d, reps, seed):
 
 
 def stepped_reflection(k, m, plan, d, t, shifts):
-    """_reflected as a plain masked pass: fresh matrix exponentials for the
-    first, grid and last steps, every grid point stepped, and the drain
-    stop.  The reference the cached chain and the jump are tested against."""
+    """_reflected as a plain masked pass: scipy's exponentials of the death
+    generator for the first, grid and last steps, every grid point stepped,
+    and the drain stop.  The reference the cached chain, its series and the
+    jump are tested against."""
     steps, rest = inversion._grid(t, d)
     shifts = np.asarray(shifts, dtype=float)
     if shifts[0] >= d - rest:
         steps, rest = steps + 1, rest - d
     count = len(shifts)
     firsts = rest + shifts if steps else np.full(count, t)
-    exps = kernels._death_exponentials(plan, d, np.concatenate((firsts, [d], d - shifts)))
+    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+    death = np.diag(lams[1:], -1) - np.diag(lams)
+    taus = np.concatenate((firsts, [d], d - shifts))
+    exps = np.array([scipy.linalg.expm(death * tau) for tau in taus])
     first, step, last = exps[:count], exps[count], exps[count + 1 :]
     arrived = m - np.arange(m + 1)
     top = min(m, steps - k)
@@ -924,11 +937,12 @@ class TestReflectionRoute:
     def test_one_death_chain_per_plan_and_d(self, monkeypatch):
         calls = []
 
-        def counted(*args, _series=kernels._death_series):
-            calls.append(None)
-            return _series(*args)
+        def counted(self, x, w, _series=kernels._DeathChain.series):
+            if np.array_equal(x, np.eye(len(self.lams))):
+                calls.append(None)
+            return _series(self, x, w)
 
-        monkeypatch.setattr(kernels, "_death_series", counted)
+        monkeypatch.setattr(kernels._DeathChain, "series", counted)
         plan, law = kernels.Constant(1.1, 10), service.Deterministic(0.8)
         times = (0.5, 1.0, 2.0, 4.0, 8.0, 12.0)
         kernels._death_chain.cache_clear()
@@ -945,14 +959,10 @@ class TestReflectionRoute:
         assert np.max(np.abs(chain.step.sum(axis=1) - 1.0)) <= 4.5e-16  # two ulps
 
     def test_an_empty_pool_stays_empty_exactly(self):
-        # n = 0 absorbs: row 0 of the cached e^{L d} and of every fresh
-        # e^{L tau} is e_0, where the Poisson weights sum to 1 only up to
-        # rounding
+        # n = 0 absorbs: row 0 of the cached e^{L d} is e_0, where the
+        # Poisson weights sum to 1 only up to rounding
         plan, d = kernels.Constant(1.1, 10), 0.8
-        taus = np.linspace(0.1, d, 8)
-        fresh = kernels._death_exponentials(plan, d, taus)[:, 0]
-        rows = np.r_[kernels._death_chain(plan, d).step[:1], fresh]
-        assert np.array_equal(rows, np.tile(np.eye(11)[0], (len(taus) + 1, 1)))
+        assert np.array_equal(kernels._death_chain(plan, d).step[0], np.eye(11)[0])
 
     def test_never_draining_pool_jumps_its_grid_steps(self):
         # rates 1e-25 keep the drain stop from firing; stepping every grid

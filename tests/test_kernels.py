@@ -285,14 +285,13 @@ def block_exponential(plan, d, gamma, alpha):
     an independent reference for the Deterministic power series."""
     lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
     size = len(lams)
-    gammas = np.reshape(gamma, np.shape(gamma) + (1, 1))
     death = np.diag(lams[1:], -1) - np.diag(lams)
-    block = np.zeros(np.shape(gamma) + (2 * size, 2 * size), dtype=complex)
-    block[..., :size, :size] = (death - gammas * np.eye(size)) * d
-    block[..., :size, size:] = d * np.eye(size)
-    block[..., size:, size:] = -alpha * d * np.eye(size)
+    block = np.zeros((2 * size, 2 * size), dtype=complex)
+    block[:size, :size] = (death - gamma * np.eye(size)) * d
+    block[:size, size:] = d * np.eye(size)
+    block[size:, size:] = -alpha * d * np.eye(size)
     e = scipy.linalg.expm(block)
-    return e[..., :size, :size], e[..., :size, size:]
+    return e[:size, :size], e[:size, size:]
 
 
 class TestDeterministicSeries:
@@ -310,9 +309,9 @@ class TestDeterministicSeries:
     def test_matches_block_exponential(self, plan):
         law = service.Deterministic(0.8)
         lam = plan.rates[0] if plan.m else 1.0
-        gammas = [np.array([0.0, 0.3, 1.0, 5.0])] + [
-            euler._euler_nodes(t, 32)[0] for t in (0.5, 2.0, 12.0)
-        ]
+        gammas = np.concatenate(
+            [[0.0, 0.3, 1.0, 5.0]] + [euler._euler_nodes(t, 32)[0] for t in (0.5, 2.0, 12.0)]
+        )
         for alpha in (0.0, 0.6, lam, 2.0 + 1.0j, 8.0):
             for gamma in gammas:
                 u, r = kernels.kernel_rows(plan, law, gamma, alpha, 1.0)

@@ -233,7 +233,7 @@ class TestPhaseAxis:
     """A deposit with a trailing phase axis, in the same pass as the plain one."""
 
     @pytest.mark.parametrize("law", LAWS[:3] + [service.Erlang(4, 4.0)])
-    @pytest.mark.parametrize("gamma", [0.7, np.array([0.5, 1.0 + 2.0j])])
+    @pytest.mark.parametrize("gamma", [0.7, 1.0 + 2.0j], ids=["0.7", "gamma1"])
     def test_projects_to_the_plain_sweep(self, law, gamma):
         start, sub = service.phase_type(law)
         p = len(start)
@@ -243,11 +243,11 @@ class TestPhaseAxis:
             phases = np.stack(kernels._phase_tables(plan, start, sub, gamma, np.eye(p)), axis=-1)
             joint, empty = transient.sweep(k, m, plan, gamma, u, v)
             resolved, resolved_empty = transient.sweep(k, m, plan, gamma, u, phases)
-            assert resolved.shape == np.shape(gamma) + (k + m + 1, m + 1, p)
+            assert resolved.shape == (k + m + 1, m + 1, p)
             assert np.array_equal(resolved_empty, empty)
-            assert not np.any(resolved[..., 0, :, :])
-            killed = np.expand_dims(gamma, (-1, -2)) * resolved[..., 1:, :, :].sum(-1)
-            assert np.max(np.abs(killed - joint[..., 1:, :])) <= 1e-15
+            assert not np.any(resolved[0])
+            killed = gamma * resolved[1:].sum(-1)
+            assert np.max(np.abs(killed - joint[1:])) <= 1e-15
 
 
 class TestWorkloadLst:
@@ -308,16 +308,6 @@ class TestPmfAndMoments:
                 falling *= np.maximum(levels - step, 0)
             assert got == pytest.approx(float(falling @ probs), abs=1e-12)
 
-    def test_moments_on_a_gamma_array(self):
-        law = service.Erlang(2, 2.0)
-        plan = kernels.Proportional(0.6, 3)
-        gammas = np.array([0.0, 0.3, 0.9, 2.5])
-        moments = transient.factorial_moments(2, 3, plan, law, gammas, 4)
-        assert moments.shape == (len(gammas), 5)
-        for row, gamma in zip(moments, gammas):
-            scalar = transient.factorial_moments(2, 3, plan, law, gamma, 4)
-            np.testing.assert_allclose(row, scalar, rtol=1e-14, atol=0)
-
 
 class TestComplexGamma:
     def test_pipeline_accepts_complex_killing_rate(self):
@@ -347,72 +337,59 @@ def contour_nodes():
     )
 
 
-def assert_node_matches(batched, single):
-    """One node's row of a batched result against the call at that node:
-    the same non-finite entries, the rest within 1e-15 (relative above 1)."""
-    batched, single = np.asarray(batched), np.asarray(single)
-    finite = np.isfinite(single)
-    assert np.array_equal(finite, np.isfinite(batched))
-    assert np.array_equal(batched[~finite], single[~finite], equal_nan=True)
-    gap = np.abs(batched[finite] - single[finite])
-    assert np.all(gap <= 1e-15 * np.maximum(1.0, np.abs(single[finite])))
-
-
 class TestNodeAxis:
-    """gamma as a 1-D array of contour nodes: one stacked evaluation that
-    agrees, node by node, with the scalar calls."""
+    """gamma at the nodes of inversion contours, one killing rate per call:
+    an array of them is rejected, not broadcast."""
 
     @pytest.mark.parametrize("law", LAWS)
     @pytest.mark.parametrize("plan_index", range(3))
-    def test_batched_rows_match_single_nodes(self, law, plan_index):
-        k, m, alpha = 2, 6, 0.6
-        plan = plans(m)[plan_index]
-        nodes = contour_nodes()
-        with np.errstate(all="ignore"):
-            u, r = kernels.kernel_rows(plan, law, nodes, alpha, nodes)
-            probs = transient.pmf(k, m, plan, law, nodes)
-            joint = transient.joint_transform(k, m, plan, law, nodes, alpha).coeffs
-            assert u.shape == r.shape == (len(nodes), m + 1, m + 1)
-            assert probs.shape == joint.shape == (len(nodes), k + m + 1)
-            for j, gamma in enumerate(nodes):
-                u1, r1 = kernels.kernel_rows(plan, law, gamma, alpha, gamma)
-                assert np.array_equal(u[j], u1, equal_nan=True)
-                assert np.array_equal(r[j], r1, equal_nan=True)
-                assert_node_matches(probs[j], transient.pmf(k, m, plan, law, gamma))
-                assert_node_matches(
-                    joint[j],
-                    transient.joint_transform(k, m, plan, law, gamma, alpha).coeffs,
-                )
+    def test_only_deterministic_tables_overflow_far_left(self, law, plan_index):
         # e^{-gamma d} overflows at the three nodes with Re(gamma) d < -709.
-        overflowed = np.flatnonzero(~np.isfinite(u[:, m]).all(axis=-1))
-        far = [len(nodes) - 3, len(nodes) - 2, len(nodes) - 1]
-        assert list(overflowed) == (far if isinstance(law, service.Deterministic) else [])
-
-    @pytest.mark.parametrize("law", LAWS)
-    def test_bad_node_leaves_other_nodes_unchanged(self, law):
-        k, m = 2, 6
-        plan = kernels.Constant(0.7, m)
-        clean = euler._euler_nodes(1.0, 32)[0]
-        bad = np.array([np.nan, far_left_nodes(128.0)[-1]])
-        mixed = np.concatenate((bad[:1], clean[:10], bad[1:], clean[10:]))
-        keep = np.isin(mixed, clean)
+        m = 6
+        plan, nodes = plans(m)[plan_index], contour_nodes()
+        overflowed = []
         with np.errstate(all="ignore"):
-            u, v = kernels.kernel_rows(plan, law, clean, 0.0, clean)
-            u_mixed, v_mixed = kernels.kernel_rows(plan, law, mixed, 0.0, mixed)
-            probs = transient.pmf(k, m, plan, law, clean)
-            probs_mixed = transient.pmf(k, m, plan, law, mixed)
-        assert np.array_equal(u_mixed[keep], u)
-        assert np.array_equal(v_mixed[keep], v)
-        assert np.isnan(u_mixed[0][np.tril_indices(m + 1)]).all()
-        assert np.array_equal(probs_mixed[keep], probs)
-        assert np.isnan(probs_mixed[0]).all()
+            for j, gamma in enumerate(nodes):
+                u, _ = kernels.kernel_rows(plan, law, gamma, 0.6, gamma)
+                if not np.isfinite(u[m]).all():
+                    overflowed.append(j)
+        far = [len(nodes) - 3, len(nodes) - 2, len(nodes) - 1]
+        assert overflowed == (far if isinstance(law, service.Deterministic) else [])
+
+    @pytest.mark.parametrize("law", [service.Erlang(2, 2.0), service.Deterministic(0.8)])
+    @pytest.mark.parametrize(
+        "gamma",
+        [np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5]), np.array([[0.5]]),
+         euler._euler_nodes(1.0, 32)[0]],
+        ids=["m-plus-one", "one", "2-d", "euler"],
+    )
+    def test_node_array_rejected(self, law, gamma):
+        # with m + 1 = 4 rates, lambda + gamma would broadcast entry by entry
+        k, m = 1, 3
+        plan = kernels.Constant(1.0, m)
+        calls = [
+            lambda: kernels.kernel_rows(plan, law, gamma, 0.0, 1.0),
+            lambda: kernels.build_tables(plan, law, gamma),
+            lambda: transient.pgf(k, m, plan, law, gamma),
+            lambda: transient.pmf(k, m, plan, law, gamma),
+            lambda: transient.joint_transform(k, m, plan, law, gamma, 0.5),
+            lambda: transient.workload_lst(k, m, plan, law, gamma, 0.5),
+            lambda: transient.factorial_moments(k, m, plan, law, gamma, 2),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="one killing rate"):
+                call()
+        # one complex node still passes: the Euler oracle evaluates there
+        probs = transient.pmf(k, m, plan, law, 1.0 + 2.0j)
+        assert probs.shape == (k + m + 1,) and np.iscomplexobj(probs)
+        assert abs(probs.sum() - 1.0) <= 1e-13
 
     def test_non_phase_type_law_raises(self):
         plan, law = kernels.Constant(0.7, 3), service.Pareto(1.5, 1.0)
-        nodes = contour_nodes()
+        gamma = contour_nodes()[0]
         with pytest.raises(UnsupportedTransform):
-            kernels.kernel_rows(plan, law, nodes, 0.0, nodes)
+            kernels.kernel_rows(plan, law, gamma, 0.0, gamma)
         with pytest.raises(UnsupportedTransform):
-            transient.pmf(1, 3, plan, law, nodes)
+            transient.pmf(1, 3, plan, law, gamma)
         with pytest.raises(UnsupportedTransform):
             inversion.pmf_at_time(1, 3, plan, law, 1.0)
