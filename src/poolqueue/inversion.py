@@ -16,8 +16,8 @@ keeps one record of them (_record, cached on (k, m, plan, law)), grown on
 demand: a time point reads its first y + 9 sqrt(y) + 10 rows (y = q t),
 a grid of times costs the steps of its largest t once, and a repeated t
 costs none.  The record holds rows x (k + m + 1) x p floats, bounded by
-the stop and by RECORD_BYTES.  Past that a time point takes _uniformized,
-the full-state pass in O(state) memory that ctmc_at_time returns.
+the stop and by RECORD_BYTES; a longer series steps on unstored from the
+record's last iterate.
 
 Deterministic(d) service has no finite chain, but its workload comes from
 the arrivals alone by the reflection map (Takacs, 1962; Prabhu, 1998):
@@ -155,8 +155,8 @@ def _stops(j, x):
 
 def _uniformized(k, m, plan, law, t):
     """x[ell, n, phase] at time t for phase-type service (module docstring),
-    in one pass of the full state: the reference the time-domain answers,
-    which read the model's _record, are tested against.
+    in one pass of the full state from t = 0: ctmc_at_time's answer and the
+    tests' reference for the answers, which read the model's _record.
 
     Once the chain stops (_stops) the remaining Poisson weight goes to
     (0, 0), the limit of every later term, so late times cost about as much
@@ -182,10 +182,11 @@ def _uniformized(k, m, plan, law, t):
 class _Record:
     """The t-free part of one phase-type model's uniformization: q, the
     frontier iterate x_J, the stop index (None until the chain stops) and
-    rows[j, ell, phase] = sum_n x_j[ell, n, phase] for j <= J.  rows(n)
+    rows[j, ell, phase] = sum_n x_j[ell, n, phase] for j <= J.  levels(t)
     grows it on demand, one _step per new row, so every t of the model
     shares one pass; the stop ends the growth, and so does cap, the rows
-    of (k + m + 1) x p floats that RECORD_BYTES holds."""
+    of (k + m + 1) x p floats that RECORD_BYTES holds.  A longer series
+    steps on from x_J unstored: its terms past the cap, record untouched."""
 
     def __init__(self, k, m, plan, law):
         self.q, self.start, self._ops = _chain(m, plan, law)
@@ -197,11 +198,14 @@ class _Record:
         self.size, self.stop = 1, None
         self._lock = threading.Lock()
 
-    def rows(self, n):
-        """rows[:n], or through the stop or the cap if either comes first
-        (read-only)."""
+    def levels(self, t):
+        """sum_n x[ell, n, phase] at time t: the rows, then any terms past
+        the cap stepped on from x_J (_step leaves it as it is), under the
+        Poisson(q t) weights, plus the weight left after a stop on (0, 0)."""
+        _check_time(t)
+        y, terms = _series(self.q, t)
         with self._lock:
-            while self.size < min(n, self.cap) and self.stop is None:
+            while self.size < min(terms, self.cap) and self.stop is None:
                 j = self.size
                 self._x = _step(self._x, *self._ops)
                 if j == len(self._rows):
@@ -212,33 +216,27 @@ class _Record:
                 self.size = j + 1
                 if _stops(j, self._x):
                     self.stop, self._rows = j, self._rows[: j + 1].copy()
-            view = self._rows[: min(n, self.size)]
-        view.flags.writeable = False
-        return view
+            rows, x, stop = self._rows[: min(terms, self.size)], self._x, self.stop
+        weights = _poisson_weights(y)
+        head = np.fromiter(weights, float, len(rows))
+        levels = (head @ rows.reshape(len(rows), -1)).reshape(rows.shape[1:])
+        total = sum(head.tolist())
+        if stop is None:  # the terms past the cap, if any
+            for j in range(len(rows), terms):
+                x, weight = _step(x, *self._ops), next(weights)
+                levels += weight * (self._ones @ x)
+                total += weight
+                if _stops(j, x):
+                    stop = j
+                    break
+        if stop is not None and stop < terms:
+            levels[0] += (1.0 - total) * self.start
+        return levels
 
 
 @lru_cache(maxsize=16)
 def _record(k, m, plan, law):
     return _Record(k, m, plan, law)
-
-
-def _levels(k, m, plan, law, t):
-    """sum_n x[ell, n, phase] at time t for phase-type service: the
-    record's rows up to the series length under the Poisson(q t) weights,
-    and, if the chain stopped within them, the weight left over on (0, 0),
-    as _uniformized sums them.  A series that runs past the record's cap
-    with no stop takes _uniformized itself."""
-    _check_time(t)
-    record = _record(k, m, plan, law)
-    y, terms = _series(record.q, t)
-    rows = record.rows(terms)
-    if len(rows) < terms and record.stop is None:
-        return _uniformized(k, m, plan, law, t).sum(axis=1)  # past the cap
-    weights = np.fromiter(_poisson_weights(y), float, len(rows))
-    levels = (weights @ rows.reshape(len(rows), -1)).reshape(rows.shape[1:])
-    if record.stop is not None and record.stop < terms:
-        levels[0] += (1.0 - sum(weights.tolist())) * record.start
-    return levels
 
 
 def _grid(t, d):
@@ -363,7 +361,7 @@ def pmf_at_time(k, m, plan, law, t):
         return out
     if isinstance(law, Deterministic):
         return np.diff(_reflected(k, m, plan, law.value, t, (0.0,))[0], prepend=0.0)
-    return _levels(k, m, plan, law, t).sum(axis=1)
+    return _record(k, m, plan, law).levels(t).sum(axis=1)
 
 
 def pgf_at_time(k, m, plan, law, z, t):
@@ -394,6 +392,6 @@ def workload_lst_at_time(k, m, plan, law, alpha, t):
         return _reflected_lst(k, m, plan, law.value, alpha, t)
     start, sub = service.phase_type(law)
     residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, -sub.sum(axis=1))
-    levels = _levels(k, m, plan, law, t)
+    levels = _record(k, m, plan, law).levels(t)
     queued = service.lst(law, alpha) ** np.arange(k + m)
     return float(levels[0].sum() + queued @ (levels[1:] @ residual))

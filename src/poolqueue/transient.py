@@ -154,8 +154,8 @@ def joint_transform(k, m, plan, law, gamma, alpha):
     """
     if not 0 <= alpha.real < np.inf:
         raise DomainError(f"alpha must have finite nonnegative real part, got {alpha}")
-    u, v = kernels.kernel_rows(plan, law, gamma, alpha, gamma)
-    joint, _ = sweep(k, m, plan, gamma, u, v)
+    u, r = kernels.kernel_rows(plan, law, gamma, alpha)
+    joint, _ = sweep(k, m, plan, gamma, u, gamma * r)
     coeffs = joint.sum(-1)
     coeffs[1:] *= service.lst(law, alpha) ** np.arange(k + m)
     return JointTransformValue(alpha=alpha, coeffs=coeffs)

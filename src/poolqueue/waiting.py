@@ -106,7 +106,7 @@ def _waiting_lsts(alpha, k, m, plan, law):
     """
     record = _record(k, m, plan, law)
     if isinstance(law, Deterministic):
-        u, deposit = kernels.kernel_rows(plan, law, 0.0, alpha, 1.0)
+        u, deposit = kernels.kernel_rows(plan, law, 0.0, alpha)
         residual, _ = transient.sweep(k, m, plan, 0.0, u, deposit)
     else:
         _, sub = service.phase_type(law)

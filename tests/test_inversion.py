@@ -488,7 +488,8 @@ class TestUniformizedRoute:
             assert abs(lst - full_state_workload_lst(k, m, plan, law, 0.7, t)) <= 1e-14
         assert inversion._record(k, m, plan, law).stop is not None
 
-    def test_a_model_costs_one_pass(self, monkeypatch):
+    @pytest.fixture
+    def steps(self, monkeypatch):
         steps = []
 
         def counted(*args, _step=inversion._step):
@@ -496,6 +497,9 @@ class TestUniformizedRoute:
             return _step(*args)
 
         monkeypatch.setattr(inversion, "_step", counted)
+        return steps
+
+    def test_a_model_costs_one_pass(self, steps):
         plan, law = kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
         grid = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
         inversion._record.cache_clear()
@@ -581,6 +585,83 @@ class TestUniformizedRoute:
             assert record.size == record.cap == 50 and record.stop is None
         finally:
             inversion._record.cache_clear()
+
+    @pytest.fixture
+    def capped(self, monkeypatch):
+        """A 50-row record cap on the Constant(0.85, 20), Erlang(2, 2) model:
+        t = 0.5 reads 23 rows, t = 12 needs 97, and the chain stops at step
+        264 of the 299 terms of t = 60."""
+        monkeypatch.setattr(inversion, "RECORD_BYTES", 50 * 23 * 2 * 8)
+        inversion._record.cache_clear()
+        yield kernels.Constant(0.85, 20), service.Erlang(2, 2.0)
+        inversion._record.cache_clear()
+
+    @pytest.mark.parametrize("t", [12.0, 60.0])
+    def test_a_past_cap_call_steps_only_past_the_cap(self, capped, steps, t):
+        plan, law = capped
+        inversion._uniformized(2, 20, plan, law, t)
+        full = len(steps)  # terms - 1, or the stop if it comes first
+        inversion.pmf_at_time(2, 20, plan, law, t)
+        steps.clear()
+        inversion.pmf_at_time(2, 20, plan, law, t)
+        record = inversion._record(2, 20, plan, law)
+        y = record.q * t
+        terms = math.ceil(y + 9.0 * math.sqrt(y) + 10.0)
+        assert len(steps) == full - (record.cap - 1) <= terms - record.cap
+        if t == 12.0:
+            assert len(steps) == terms - record.cap == 47
+
+    def test_past_cap_calls_leave_the_record_as_it_was(self, capped):
+        plan, law = capped
+        inversion.pmf_at_time(2, 20, plan, law, 4.0)  # fills the 50 rows
+        record = inversion._record(2, 20, plan, law)
+        x, rows = record._x, record._rows
+        frontier = x.copy()
+        for t in (12.0, 60.0, 1e3, 12.0):
+            inversion.pmf_at_time(2, 20, plan, law, t)
+            inversion.workload_lst_at_time(2, 20, plan, law, 0.7, t)
+            assert (record.size, record.stop) == (record.cap, None)
+            assert record._x is x and record._rows is rows
+            assert np.array_equal(x, frontier)
+
+    def test_a_stop_in_the_streamed_tail_is_the_full_state_pass(self, capped, steps):
+        plan, law = capped
+        probs = inversion.pmf_at_time(2, 20, plan, law, 60.0)
+        lst = inversion.workload_lst_at_time(2, 20, plan, law, 0.7, 60.0)
+        assert np.max(np.abs(probs - full_state_pmf(2, 20, plan, law, 60.0))) <= 1e-14
+        assert abs(lst - full_state_workload_lst(2, 20, plan, law, 0.7, 60.0)) <= 1e-14
+        # the full-state pass steps to the stop: past the cap, short of the terms
+        steps.clear()
+        inversion._uniformized(2, 20, plan, law, 60.0)
+        stop = len(steps)
+        record = inversion._record(2, 20, plan, law)
+        y = record.q * 60.0
+        assert record.cap <= stop < math.ceil(y + 9.0 * math.sqrt(y) + 10.0) - 1
+        assert record.stop is None
+
+    def test_threads_mixing_stored_and_streamed_times_match_serial(self, capped):
+        plan, law = capped
+        times = [0.5, 12.0, 2.0, 60.0, 4.0, 1e3, 1.0, 30.0] * 4
+
+        def answer(t):
+            return (
+                inversion.pmf_at_time(2, 20, plan, law, t),
+                inversion.workload_lst_at_time(2, 20, plan, law, 0.7, t),
+            )
+
+        serial = {t: answer(t) for t in times}
+        inversion._record.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(answer, times, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for t, (probs, lst) in zip(times, got):
+            assert np.array_equal(probs, serial[t][0]) and lst == serial[t][1]
+        record = inversion._record(2, 20, plan, law)
+        assert (record.size, record.stop) == (record.cap, None)
 
     @pytest.mark.parametrize("load", [0.7, 1.3])
     @pytest.mark.parametrize("mu", [0.8, 1.25])

@@ -314,7 +314,7 @@ class TestDeterministicSeries:
         )
         for alpha in (0.0, 0.6, lam, 2.0 + 1.0j, 8.0):
             for gamma in gammas:
-                u, r = kernels.kernel_rows(plan, law, gamma, alpha, 1.0)
+                u, r = kernels.kernel_rows(plan, law, gamma, alpha)
                 ref_u, ref_r = block_exponential(plan, 0.8, gamma, alpha)
                 assert np.max(np.abs(u - ref_u)) <= 1e-13
                 assert np.max(np.abs(r - ref_r)) <= 1e-13
@@ -323,7 +323,7 @@ class TestDeterministicSeries:
         # lambda_max d = 900: about 1200 terms, in blocks of stacked powers.
         plan, law = kernels.Proportional(1.0, 300), service.Deterministic(3.0)
         for gamma, alpha in ((0.0, 0.0), (0.7, 2.0 + 1.0j)):
-            u, r = kernels.kernel_rows(plan, law, gamma, alpha, 1.0)
+            u, r = kernels.kernel_rows(plan, law, gamma, alpha)
             ref_u, ref_r = block_exponential(plan, 3.0, gamma, alpha)
             assert np.max(np.abs(u - ref_u)) <= 1e-13
             assert np.max(np.abs(r - ref_r)) <= 1e-13

@@ -239,9 +239,9 @@ class TestPhaseAxis:
         p = len(start)
         for k, m, plan in [(2, 5, kernels.Proportional(0.9, 5)), (0, 3, kernels.Constant(1.1, 3)),
                            (3, 0, kernels.Constant(1.0, 0))]:
-            u, v = kernels.kernel_rows(plan, law, gamma, 0.0, gamma)
+            u, r = kernels.kernel_rows(plan, law, gamma, 0.0)
             phases = np.stack(kernels._phase_tables(plan, start, sub, gamma, np.eye(p)), axis=-1)
-            joint, empty = transient.sweep(k, m, plan, gamma, u, v)
+            joint, empty = transient.sweep(k, m, plan, gamma, u, gamma * r)
             resolved, resolved_empty = transient.sweep(k, m, plan, gamma, u, phases)
             assert resolved.shape == (k + m + 1, m + 1, p)
             assert np.array_equal(resolved_empty, empty)
@@ -350,7 +350,7 @@ class TestNodeAxis:
         overflowed = []
         with np.errstate(all="ignore"):
             for j, gamma in enumerate(nodes):
-                u, _ = kernels.kernel_rows(plan, law, gamma, 0.6, gamma)
+                u, _ = kernels.kernel_rows(plan, law, gamma, 0.6)
                 if not np.isfinite(u[m]).all():
                     overflowed.append(j)
         far = [len(nodes) - 3, len(nodes) - 2, len(nodes) - 1]
@@ -368,7 +368,7 @@ class TestNodeAxis:
         k, m = 1, 3
         plan = kernels.Constant(1.0, m)
         calls = [
-            lambda: kernels.kernel_rows(plan, law, gamma, 0.0, 1.0),
+            lambda: kernels.kernel_rows(plan, law, gamma, 0.0),
             lambda: kernels.build_tables(plan, law, gamma),
             lambda: transient.pgf(k, m, plan, law, gamma),
             lambda: transient.pmf(k, m, plan, law, gamma),
@@ -388,7 +388,7 @@ class TestNodeAxis:
         plan, law = kernels.Constant(0.7, 3), service.Pareto(1.5, 1.0)
         gamma = contour_nodes()[0]
         with pytest.raises(UnsupportedTransform):
-            kernels.kernel_rows(plan, law, gamma, 0.0, gamma)
+            kernels.kernel_rows(plan, law, gamma, 0.0)
         with pytest.raises(UnsupportedTransform):
             transient.pmf(1, 3, plan, law, gamma)
         with pytest.raises(UnsupportedTransform):

@@ -201,7 +201,7 @@ def shaped_plans():
 def per_alpha_lsts(alpha, k, m, plan, law):
     """E[e^{-alpha W_j}], j = 1..k+m, from a gamma = 0 sweep of the residual
     kernel r(alpha): one kernel build and one sweep per alpha."""
-    u, residual = kernels.kernel_rows(plan, law, 0.0, alpha, 1.0)
+    u, residual = kernels.kernel_rows(plan, law, 0.0, alpha)
     joint, empty = transient.sweep(k, m, plan, 0.0, u, residual)
     powers = service.lst(law, alpha) ** np.arange(k + m)
     lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
