@@ -134,6 +134,8 @@ def _step(x, stay, arrive, move, restart):
 
 
 def _initial(k, m, start):
+    if min(k, m) < 0:
+        raise DomainError("k and m must be nonnegative")
     x = np.zeros((k + m + 1, m + 1, len(start)))
     x[k, m] = start
     return x
@@ -202,7 +204,6 @@ class _Record:
         """sum_n x[ell, n, phase] at time t: the rows, then any terms past
         the cap stepped on from x_J (_step leaves it as it is), under the
         Poisson(q t) weights, plus the weight left after a stop on (0, 0)."""
-        _check_time(t)
         y, terms = _series(self.q, t)
         with self._lock:
             while self.size < min(terms, self.cap) and self.stop is None:
@@ -282,7 +283,8 @@ def _reflected(k, m, plan, d, t, shifts):
     own e^{L (d - xi)}.  Grid point j, at offset s = C - 1 - j from the
     last, masks no row while s >= max(top, 1), so the steps before the
     last max(top, 1) grid points are one _jump of the single law vector."""
-    _check_time(t)
+    if min(k, m) < 0:
+        raise DomainError("k and m must be nonnegative")
     chain = kernels._death_chain(plan, d)
     steps, rest = _grid(t, d)
     shifts = np.asarray(shifts, dtype=float)
@@ -328,7 +330,6 @@ def _reflected_lst(k, m, plan, d, alpha, t):
     """E[e^{-alpha W(t)}] for Deterministic(d) service (module docstring):
     e^{-alpha (k + m + 1) d} plus alpha e^{-alpha j d} times the integral of
     e^{-alpha xi} P(W(t) <= j d + xi) over [0, d), summed over j."""
-    _check_time(t)
     _, rest = _grid(t, d)
     breaks = (0.0, d - rest, d) if rest else (0.0, d)
     reach = LST_CLIP / alpha if alpha else inf
@@ -347,18 +348,14 @@ def _reflected_lst(k, m, plan, d, alpha, t):
 def pmf_at_time(k, m, plan, law, t):
     """P(Z(t) = l) for l = 0..k+m.
 
-    t = 0 is answered analytically (all mass at k).  Phase-type service:
-    the uniformized chain's level sums, read from the model's record (one
-    per model, of at most stop + 1 rows x (k + m + 1) x p floats, shared
-    by every t; module docstring).  Deterministic service: the
-    reflection map's pass over the arrival chain.  Either way the mass is
-    one up to a 1e-17 truncation and rounding, with no entry negative.
-    Other laws raise UnsupportedTransform.
+    Phase-type service: the uniformized chain's level sums, read from the
+    model's record (one per model, of at most stop + 1 rows x (k + m + 1)
+    x p floats, shared by every t; module docstring).  Deterministic
+    service: the reflection map's pass over the arrival chain.  Either way
+    the mass is one up to a 1e-17 truncation and rounding, with no entry
+    negative (at t = 0 all on k).  Other laws raise UnsupportedTransform.
     """
-    if t == 0:
-        out = np.zeros(k + m + 1)
-        out[k] = 1.0
-        return out
+    _check_time(t)
     if isinstance(law, Deterministic):
         return np.diff(_reflected(k, m, plan, law.value, t, (0.0,))[0], prepend=0.0)
     return _record(k, m, plan, law).levels(t).sum(axis=1)
@@ -381,13 +378,12 @@ def workload_lst_at_time(k, m, plan, law, alpha, t):
     service: alpha times the integral of e^{-alpha x} P(W(t) <= x), that
     law from the reflection map's pass shifted by xi, by Gauss-Legendre on
     the two pieces of [0, d) either side of the break in the grid count,
-    each cut at LST_CLIP / alpha (module docstring).  A complex or negative
-    alpha raises DomainError.
+    each cut at LST_CLIP / alpha (module docstring).  The value is a float,
+    beta(alpha)^k at t = 0.  A complex or negative alpha raises DomainError.
     """
     if np.imag(alpha) != 0 or not 0 <= np.real(alpha) < inf:
         raise DomainError(f"workload_lst_at_time requires a real alpha >= 0, got {alpha}")
-    if t == 0:
-        return service.lst(law, alpha) ** k
+    _check_time(t)
     if isinstance(law, Deterministic):
         return _reflected_lst(k, m, plan, law.value, alpha, t)
     start, sub = service.phase_type(law)

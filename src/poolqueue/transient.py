@@ -31,7 +31,6 @@ from .errors import DomainError
 
 __all__ = [
     "PgfPolynomial",
-    "JointTransformValue",
     "sweep",
     "pgf",
     "joint_transform",
@@ -43,24 +42,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PgfPolynomial:
-    """Coefficient view of E[z^{Z(T)}]: coeffs[l] = P(Z(T) = l)."""
+    """A deadline transform as a polynomial in z: coeffs[l] = P(Z(T) = l)
+    (pgf), or E[e^{-alpha W(T)}; Z(T) = l] at one alpha (joint_transform)."""
 
     coeffs: np.ndarray
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
-
-
-@dataclass(frozen=True)
-class JointTransformValue:
-    """z-polynomial coefficients of E[z^{Z(T)} e^{-alpha W(T)}] at fixed alpha."""
-
-    alpha: complex
-    coeffs: np.ndarray
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coeffs)
@@ -89,8 +78,10 @@ def sweep(k, m, plan, gamma, u, v):
     v may carry a trailing phase axis, v[n, n', phi], such as the phase
     vectors x_i of the kernel recursion; joint[c, n', phi] then carries it
     too, in the same pass.  Its row c = 0, where nobody is in service, is
-    left zero.
+    left zero.  A negative k or m raises DomainError.
     """
+    if min(k, m) < 0:
+        raise DomainError("k and m must be nonnegative")
     size = m + 1
     phases = np.shape(v)[2:]
     width = int(np.prod(phases))
@@ -137,15 +128,13 @@ def pgf(k, m, plan, law, gamma):
     checked by kernels.kernel_rows; it may be complex, in which case the
     coefficients are complex-valued transform evaluations.
     """
-    if k < 0 or m < 0:
-        raise ValueError("k and m must be nonnegative")
     tables = kernels.build_tables(plan, law, gamma)
     joint, _ = sweep(k, m, plan, gamma, tables.u, tables.v)
     return PgfPolynomial(coeffs=joint.sum(-1))
 
 
 def joint_transform(k, m, plan, law, gamma, alpha):
-    """Joint transform of customer count and workload at the deadline.
+    """E[z^{Z(T)} e^{-alpha W(T)}] at the deadline, as a polynomial in z.
 
     One kernel build at alpha and one sweep: the row sums of the joint
     table for c >= 1 present carry beta(alpha)^{c-1} for the services
@@ -158,7 +147,7 @@ def joint_transform(k, m, plan, law, gamma, alpha):
     joint, _ = sweep(k, m, plan, gamma, u, gamma * r)
     coeffs = joint.sum(-1)
     coeffs[1:] *= service.lst(law, alpha) ** np.arange(k + m)
-    return JointTransformValue(alpha=alpha, coeffs=coeffs)
+    return PgfPolynomial(coeffs=coeffs)
 
 
 def workload_lst(k, m, plan, law, gamma, alpha):

@@ -59,8 +59,7 @@ def _record(k, m, plan, law):
     """The waiting-time record of one model from one gamma = 0 kernel build
     and one sweep.  The means are the closed form (j - 1) E[B] corrected by
     the interarrival gaps actually waited out, sum_{h <= j} (rho_h - 1) /
-    lambda; each term is applied to every later customer in the order a
-    loop over one customer's terms takes, so each mean is that loop's."""
+    lambda: a cumulative sum over the arrivals."""
     if isinstance(law, Deterministic):
         tables = kernels.build_tables(plan, law, 0.0)
         _, empty = transient.sweep(k, m, plan, 0.0, tables.u, tables.v)
@@ -72,11 +71,7 @@ def _record(k, m, plan, law):
         joint, empty = transient.sweep(k, m, plan, 0.0, u, np.stack(phases, axis=-1))
     rates, rhos = kernels.plan_rates(plan), empty[m:0:-1]
     means = np.arange(k + m) * service.mean(law)
-    arriving = means[k:]
-    for i in range(m):
-        arriving[i:] -= 1.0 / rates[m - 1 - i]
-    for i in range(m):
-        arriving[i:] += rhos[i] / rates[m - 1 - i]
+    means[k:] += np.cumsum((rhos - 1.0) / rates[::-1])
     for array in (empty, joint, means):
         if array is not None:
             array.setflags(write=False)

@@ -201,6 +201,21 @@ class TestSubcommands:
         _, _, rows = parse_csv(out)
         assert float(rows[0][2]) == pytest.approx(1.0 - 2.718281828**-1, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["at-time", "--k", "-1", "--service", "exp:1", "--t", "1"],
+            ["waiting", "--k", "-1", "--service", "exp:1"],
+            ["workload", "--k", "-1", "--service", "exp:1", "--gamma", "1", "--alpha", "0.5"],
+            ["at-time", "--k", "-2", "--service", "det:0.8", "--t", "1"],
+        ],
+        ids=["at-time", "waiting", "workload", "at-time-det"],
+    )
+    def test_negative_k_refused(self, argv, capsys):
+        code, out, err = run(argv + ["--m", "2", "--plan", "const:1"], capsys)
+        assert code == 1 and out == ""
+        assert "k and m must be nonnegative" in err
+
     def test_at_time_help_names_no_inversion(self, capsys):
         for argv in (["--help"], ["at-time", "--help"]):
             with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from poolqueue import inversion, kernels, service, simulate, transient
-from poolqueue.errors import ConvergenceWarning, DomainError
+from poolqueue.errors import ConvergenceWarning, DomainError, UnsupportedTransform
 
 import euler
 
@@ -178,6 +178,31 @@ class TestPmfAtTime:
             2, 1, kernels.Constant(1.0, 1), service.Exponential(1.0), 0.0
         )
         assert np.allclose(got, [0, 0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "law",
+        [service.Exponential(1.3), service.Erlang(2, 2.0), service.Erlang(4, 4.0),
+         service.HyperExponential((0.4, 0.6), (1.0, 3.0)), service.Deterministic(0.8)],
+    )
+    def test_time_zero_is_the_start(self, law):
+        # t = 0 takes each law's own route: the record's first row, or the
+        # reflection pass with no grid point, both all on k
+        for k, m in [(0, 0), (3, 0), (0, 5), (2, 7)]:
+            for plan in (kernels.Constant(0.9, m), kernels.Proportional(0.4, m)):
+                got = inversion.pmf_at_time(k, m, plan, law, 0.0)
+                assert np.array_equal(got, np.eye(k + m + 1)[k])
+                for alpha in (0.0, 0.5, 3.0):
+                    value = inversion.workload_lst_at_time(k, m, plan, law, alpha, 0.0)
+                    assert type(value) is float
+                    want = service.lst(law, alpha) ** k
+                    assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_time_zero_pareto_raises(self):
+        plan, law = kernels.Constant(0.7, 3), service.Pareto(1.5, 1.0)
+        with pytest.raises(UnsupportedTransform):
+            inversion.pmf_at_time(1, 3, plan, law, 0.0)
+        with pytest.raises(UnsupportedTransform):
+            inversion.pgf_at_time(1, 3, plan, law, 0.5, 0.0)
 
     def test_single_customer_closed_form(self):
         got = inversion.pmf_at_time(

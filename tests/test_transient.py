@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from poolqueue import inversion, kernels, service, simulate, transient
+from poolqueue import inversion, kernels, service, simulate, transient, waiting
 from poolqueue.errors import DomainError, UnsupportedTransform
 
 import euler
+from test_waiting import CHAIN_SHAPES, PHASE_LAWS
 
 LAWS = [
     service.Exponential(1.3),
@@ -45,7 +46,38 @@ def plans(m, lam=0.8):
     return made
 
 
+def uniformized_resolvent(k, m, plan, law, gamma):
+    """P(Z(T) = l) at an Exp(gamma) deadline as the resolvent of the chain
+    by uniformization (Grassmann, 1977): sum_j (gamma / (q + gamma))
+    (q / (q + gamma))^j sum_{n, phi} x_j[l, n, phi], with x_j the iterates
+    of inversion._step.  The sum stops once the weight left is below
+    1e-18, or once the chain has absorbed at (0, 0), where that weight then
+    goes.  No kernel table and no diagonal sweep takes part."""
+    q, start, ops = inversion._chain(m, plan, law)
+    x = inversion._initial(k, m, start)
+    ratio = q / (q + gamma)
+    out = np.zeros(k + m + 1)
+    j = 0
+    while True:
+        out += (1.0 - ratio) * ratio**j * x.sum(axis=(1, 2))
+        left = ratio ** (j + 1)
+        if left < 1e-18:
+            return out
+        if x[1:].sum() + x[0, 1:].sum() < 1e-18:
+            out[0] += left
+            return out
+        x, j = inversion._step(x, *ops), j + 1
+
+
 class TestPgf:
+    @pytest.mark.parametrize("law", PHASE_LAWS)
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+    def test_pmf_is_the_uniformized_resolvent(self, law, gamma):
+        for k, m, plan in CHAIN_SHAPES:
+            got = transient.pmf(k, m, plan, law, gamma)
+            want = uniformized_resolvent(k, m, plan, law, gamma)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
     def test_empty_system(self):
         poly = transient.pgf(0, 0, kernels.Constant(1.0, 0), service.Exponential(1.0), 1.0)
         assert np.allclose(poly.coeffs, [1.0])
@@ -393,3 +425,34 @@ class TestNodeAxis:
             transient.pmf(1, 3, plan, law, gamma)
         with pytest.raises(UnsupportedTransform):
             inversion.pmf_at_time(1, 3, plan, law, 1.0)
+
+
+class TestNegativeCounts:
+    """A negative k is refused, not answered, by the engine behind every
+    answer: the sweep, the uniformized chain, the reflection pass and the
+    CTMC resolvent."""
+
+    @pytest.mark.parametrize("law", [service.Erlang(2, 2.0), service.Deterministic(0.8)])
+    def test_every_entry_refuses_a_negative_k(self, law):
+        k, m, plan = -1, 2, kernels.Constant(1.0, 2)
+        calls = [
+            lambda: transient.pgf(k, m, plan, law, 0.7),
+            lambda: transient.pmf(k, m, plan, law, 0.7),
+            lambda: transient.factorial_moments(k, m, plan, law, 0.7, 2),
+            lambda: transient.joint_transform(k, m, plan, law, 0.7, 0.5),
+            lambda: transient.workload_lst(k, m, plan, law, 0.7, 0.5),
+            lambda: inversion.pmf_at_time(k, m, plan, law, 1.0),
+            lambda: inversion.pgf_at_time(k, m, plan, law, 0.5, 1.0),
+            lambda: inversion.workload_lst_at_time(k, m, plan, law, 0.5, 1.0),
+            lambda: waiting.emptiness_probs(k, m, plan, law),
+            lambda: waiting.waiting_mean(1, k, m, plan, law),
+            lambda: waiting.waiting_lst(1, 0.5, k, m, plan, law),
+        ]
+        if not isinstance(law, service.Deterministic):
+            calls += [
+                lambda: simulate.ctmc_resolvent(k, m, plan, law, 0.7),
+                lambda: simulate.ctmc_at_time(k, m, plan, law, 1.0),
+            ]
+        for call in calls:
+            with pytest.raises(DomainError, match="k and m must be nonnegative"):
+                call()

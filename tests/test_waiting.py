@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from poolqueue import kernels, service, simulate, transient, waiting
+from poolqueue import inversion, kernels, service, simulate, transient, waiting
 from poolqueue.errors import DomainError
 
 LAWS = [
@@ -191,6 +192,16 @@ PHASE_LAWS = [
 
 SHAPES = [(3, 30), (0, 4), (5, 12), (2, 0), (0, 1)]
 
+# (k, m, plan) for the identities against the uniformized chain: an empty
+# pool, an empty start and a General plan among them
+CHAIN_SHAPES = [
+    (2, 5, kernels.Constant(0.8, 5)),
+    (0, 6, kernels.Proportional(0.9, 6)),
+    (3, 0, kernels.Constant(0.8, 0)),
+    (1, 4, kernels.General((0.5, 1.1, 0.7, 1.6))),
+    (4, 9, kernels.Proportional(0.3, 9)),
+]
+
 
 def shaped_plans():
     for k, m in SHAPES:
@@ -224,8 +235,47 @@ def loop_mean(j, k, m, plan, law):
     return total
 
 
+def occupation_measure(k, m, plan, law):
+    """The expected time spent in each state x[ell, n, phi] of the chain
+    before it absorbs at (0, 0): (1 / q) sum_j x_j over the iterates of
+    inversion._step, summed until the mass off (0, 0) is below 1e-18.  No
+    kernel table and no diagonal sweep takes part."""
+    q, start, ops = inversion._chain(m, plan, law)
+    x = inversion._initial(k, m, start)
+    total = np.zeros_like(x)
+    while x[1:].sum() + x[0, 1:].sum() >= 1e-18:
+        total += x
+        x = inversion._step(x, *ops)
+    return total / q
+
+
 class TestRecord:
     """One alpha-free gamma = 0 sweep per model gives every waiting answer."""
+
+    @pytest.mark.parametrize("law", PHASE_LAWS)
+    def test_record_is_the_occupation_measure(self, law):
+        # joint[c, n', phi] is the expected time in (c, n', phi), and the
+        # empty state (0, n'), left at rate lambda_{n'}, is entered at most
+        # once, so empty[n'] = lambda_{n'} times the expected time there.
+        for k, m, plan in (shape for shape in CHAIN_SHAPES if shape[1]):
+            record = waiting._record(k, m, plan, law)
+            times = occupation_measure(k, m, plan, law)
+            assert np.max(np.abs(record.joint[1:] - times[1:])) <= 1e-14
+            visits = kernels.plan_rates(plan) * times[0, 1:].sum(axis=1)
+            assert np.max(np.abs(record.empty[1:] - visits)) <= 1e-14
+
+    def test_means_are_exact_sums_at_a_large_pool(self):
+        # 60 terms (rho - 1) / lambda with 1 / lambda up to 50, against the
+        # exact rational sums of the record's own float inputs
+        k, m = 20, 60
+        plan, law = kernels.Proportional(0.02, m), service.Erlang(2, 2.0)
+        rhos = waiting.emptiness_probs(k, m, plan, law)
+        gaps = Fraction(0)
+        for i in range(m):
+            gaps += (Fraction(rhos[i]) - 1) / Fraction(plan.rates[m - 1 - i])
+            want = (k + i) * Fraction(service.mean(law)) + gaps
+            got = waiting.waiting_mean(k + i + 1, k, m, plan, law)
+            assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
 
     @pytest.mark.parametrize("law", PHASE_LAWS + [service.Deterministic(0.8)])
     def test_lsts_match_per_alpha_sweep(self, law):
