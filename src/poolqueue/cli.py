@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from . import geometric, inversion, kernels, service, simulate, transient, waiting
-from .errors import PoolQueueError, UnsupportedOracle
+from .errors import PoolQueueError, UnsupportedOracle, check_counts
 
 __all__ = ["main", "run"]
 
@@ -295,6 +295,7 @@ def cmd_workload(settings):
 
 def cmd_waiting(settings):
     k, m, plan, law = settings.model()
+    check_counts(k, m)  # at k + m <= 0 the loop below never reaches the library
     js = settings.get("j", range(1, k + m + 1))
     alphas = settings.get("alpha", [])
     header = ["j", "mean"] + [f"lst_alpha_{format_number(a)}" for a in alphas]

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the check of
+a model's counts that every engine and the CLI share."""
 
 
 class PoolQueueError(Exception):
@@ -11,6 +12,13 @@ class UnsupportedTransform(PoolQueueError):
 
 class DomainError(PoolQueueError, ValueError):
     """An argument lies outside the domain where the operation is defined."""
+
+
+def check_counts(k, m):
+    """Raise DomainError unless the initial count k and the pool size m
+    are both nonnegative: every engine's one check of a model's shape."""
+    if min(k, m) < 0:
+        raise DomainError("k and m must be nonnegative")
 
 
 class SingularityGuard(PoolQueueError):

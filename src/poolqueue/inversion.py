@@ -60,7 +60,7 @@ from sys import float_info
 import numpy as np
 
 from . import kernels, service
-from .errors import DomainError
+from .errors import DomainError, check_counts
 from .service import Deterministic
 
 __all__ = [
@@ -134,8 +134,7 @@ def _step(x, stay, arrive, move, restart):
 
 
 def _initial(k, m, start):
-    if min(k, m) < 0:
-        raise DomainError("k and m must be nonnegative")
+    check_counts(k, m)
     x = np.zeros((k + m + 1, m + 1, len(start)))
     x[k, m] = start
     return x
@@ -283,8 +282,7 @@ def _reflected(k, m, plan, d, t, shifts):
     own e^{L (d - xi)}.  Grid point j, at offset s = C - 1 - j from the
     last, masks no row while s >= max(top, 1), so the steps before the
     last max(top, 1) grid points are one _jump of the single law vector."""
-    if min(k, m) < 0:
-        raise DomainError("k and m must be nonnegative")
+    check_counts(k, m)
     chain = kernels._death_chain(plan, d)
     steps, rest = _grid(t, d)
     shifts = np.asarray(shifts, dtype=float)

@@ -26,7 +26,7 @@ from math import inf, isfinite
 import numpy as np
 
 from . import inversion, kernels, service
-from .errors import DomainError, UnsupportedOracle, UnsupportedTransform
+from .errors import DomainError, UnsupportedOracle, UnsupportedTransform, check_counts
 
 __all__ = ["SimConfig", "SimReport", "simulate", "ctmc_resolvent", "ctmc_at_time"]
 
@@ -255,8 +255,7 @@ def ctmc_resolvent(k, m, plan, law, gamma):
     """
     if not 0 < gamma < inf:
         raise ValueError("gamma must be positive and finite")
-    if min(k, m) < 0:
-        raise DomainError("k and m must be nonnegative")
+    check_counts(k, m)
     start, sub, exit_ = _phases(law)
     top, rates = k + m, np.r_[0.0, kernels.plan_rates(plan)[:m]]  # lambda_0 = 0
     res = np.linalg.inv((gamma + rates)[:, None, None] * np.eye(len(start)) - sub)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, service
-from .errors import DomainError
+from .errors import DomainError, check_counts
 
 __all__ = [
     "PgfPolynomial",
@@ -80,8 +80,7 @@ def sweep(k, m, plan, gamma, u, v):
     too, in the same pass.  Its row c = 0, where nobody is in service, is
     left zero.  A negative k or m raises DomainError.
     """
-    if min(k, m) < 0:
-        raise DomainError("k and m must be nonnegative")
+    check_counts(k, m)
     size = m + 1
     phases = np.shape(v)[2:]
     width = int(np.prod(phases))

@@ -216,6 +216,28 @@ class TestSubcommands:
         assert code == 1 and out == ""
         assert "k and m must be nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "model",
+        [["--k", "-3", "--m", "2", "--plan", "const:1"], ["--k", "-1", "--m", "0"]],
+        ids=["k=-3,m=2", "k=-1,m=0"],
+    )
+    def test_waiting_refuses_a_negative_k_with_no_customers(self, model, capsys):
+        # k + m <= 0 leaves the table without a row, so no customer's mean
+        # would reach the library's check
+        code, out, err = run(["waiting", *model, "--service", "exp:1"], capsys)
+        assert code == 1 and out == ""
+        assert "k and m must be nonnegative" in err
+
+    def test_waiting_without_arrivals(self, capsys):
+        # the initial customers' means need no transform, Pareto's included
+        code, out, _ = run(["waiting", "--k", "3", "--m", "0", "--service", "pareto:1.5,1"], capsys)
+        _, header, rows = parse_csv(out)
+        assert code == 0 and header == ["j", "mean"]
+        assert [(int(j), float(mean)) for j, mean in rows] == [(1, 0.0), (2, 3.0), (3, 6.0)]
+        code, out, _ = run(["waiting", "--k", "0", "--m", "0", "--service", "exp:1"], capsys)
+        _, header, rows = parse_csv(out)
+        assert code == 0 and header == ["j", "mean"] and rows == []
+
     def test_at_time_help_names_no_inversion(self, capsys):
         for argv in (["--help"], ["at-time", "--help"]):
             with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from poolqueue import inversion, kernels, service
 from poolqueue.errors import DomainError, UnsupportedTransform
 
 import euler
+from test_waiting import PHASE_LAWS
 
 LAWS = [
     service.Exponential(1.3),
@@ -279,6 +280,43 @@ class TestKernelTables:
         assert abs(tables.u[250].sum() - beta) < 1e-10
 
 
+def per_entry_tables(plan, start, sub, gamma, cols):
+    """The reference kernels._phase_tables must reproduce: the recursion
+    x_i = x_{i-1} @ lambda_{n-i+1} R_{n-i}, one `@` operator per entry."""
+    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+    size = len(lams)
+    inverses = np.linalg.inv((lams + gamma)[:, None, None] * np.eye(len(start)) - sub)
+    heads = start @ inverses
+    steps = [None] + [lam * inverse for lam, inverse in zip(lams[1:], inverses)]
+    tables = np.zeros((cols.shape[-1], size, size), dtype=np.result_type(inverses, cols))
+    for n in range(size):
+        xs = [heads[n]]
+        for i in range(1, n + 1):
+            xs.append(xs[-1] @ steps[n - i + 1])
+        tables[:, n, : n + 1] = (np.array(xs) @ cols)[::-1].T
+    return tables
+
+
+class TestPhaseRecursion:
+    @pytest.mark.parametrize("law", PHASE_LAWS)
+    def test_matches_the_per_entry_reference(self, law):
+        # both column sets: kernel_rows' [s0 | residual] at each alpha and
+        # the waiting record's [s0 | I]
+        start, sub = service.phase_type(law)
+        exit_rates = -sub.sum(axis=1)
+        col_sets = [np.column_stack((exit_rates, np.eye(len(start))))] + [
+            np.column_stack((exit_rates, np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)))
+            for alpha in (0.0, 0.9 + 0.3j)
+        ]
+        for plan in plans(40):
+            for gamma in (0.0, 0.7, 2.5, 1.1 + 0.7j):
+                for cols in col_sets:
+                    got = kernels._phase_tables(plan, start, sub, gamma, cols)
+                    want = per_entry_tables(plan, start, sub, gamma, cols)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
 def block_exponential(plan, d, gamma, alpha):
     """u and r(alpha) from scipy's exponential of the block
     [[(L - gamma I) d, d I], [0, -alpha d I]], L being the death generator:
@@ -327,6 +365,30 @@ class TestDeterministicSeries:
             ref_u, ref_r = block_exponential(plan, 3.0, gamma, alpha)
             assert np.max(np.abs(u - ref_u)) <= 1e-13
             assert np.max(np.abs(r - ref_r)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0 + 1.0j])
+    def test_first_call_walks_the_powers_once(self, alpha, monkeypatch):
+        # a fresh chain sums e^{L d} and r(alpha) from one walk of the powers
+        # of P; once e^{L d} is cached a call walks them for r(alpha) alone
+        walks = []
+
+        def counted(self, cols, _powers=kernels._DeathChain._powers):
+            walks.append(None)
+            return _powers(self, cols)
+
+        monkeypatch.setattr(kernels._DeathChain, "_powers", counted)
+        plan, law = kernels.Proportional(1.0, 30), service.Deterministic(3.0)
+        kernels._death_chain.cache_clear()
+        u, r = kernels.kernel_rows(plan, law, 0.7, alpha)
+        assert len(walks) == 1
+        again_u, again_r = kernels.kernel_rows(plan, law, 0.7, alpha)
+        assert len(walks) == 2
+        kernels._death_chain.cache_clear()
+        alone = kernels._death_chain(plan, 3.0).step
+        assert len(walks) == 3
+        # sharing the walk changes no bit of either table
+        assert np.array_equal(r, again_r) and np.array_equal(u, again_u)
+        assert np.array_equal(u, np.exp(-0.7 * 3.0) * alone)
 
     def test_overflowing_expected_arrivals_rejected(self):
         # lambda_max d = 1e400 is not a float: no term count exists.
