@@ -295,7 +295,7 @@ def cmd_workload(settings):
 
 def cmd_waiting(settings):
     k, m, plan, law = settings.model()
-    check_counts(k, m)  # at k + m <= 0 the loop below never reaches the library
+    check_counts(k, m, plan)  # at k + m <= 0 the loop below never reaches the library
     js = settings.get("j", range(1, k + m + 1))
     alphas = settings.get("alpha", [])
     header = ["j", "mean"] + [f"lst_alpha_{format_number(a)}" for a in alphas]

@@ -14,11 +14,13 @@ class DomainError(PoolQueueError, ValueError):
     """An argument lies outside the domain where the operation is defined."""
 
 
-def check_counts(k, m):
-    """Raise DomainError unless the initial count k and the pool size m
-    are both nonnegative: every engine's one check of a model's shape."""
+def check_counts(k, m, plan):
+    """Raise DomainError unless k, m >= 0 and the plan holds exactly the m
+    rates lambda_1..lambda_m: every engine's one check of a model's shape."""
     if min(k, m) < 0:
         raise DomainError("k and m must be nonnegative")
+    if plan.m != m:
+        raise DomainError(f"the plan has {plan.m} rates for a pool of m = {m}")
 
 
 class SingularityGuard(PoolQueueError):
@@ -30,6 +32,6 @@ class UnsupportedOracle(PoolQueueError):
     phase-type (Deterministic or Pareto), so it has no finite chain."""
 
 
-# Unused: kept because the benchmark counts it.
+# Read by tests/euler.py and tests/test_inversion.py; the benchmark counts it.
 class ConvergenceWarning(UserWarning):
     """Raised by the tests' Euler oracle when its two node counts disagree."""

@@ -54,8 +54,7 @@ the sides end there; a large alpha would otherwise fall between two nodes.
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, exp, fmod, frexp, inf, ldexp, log2, sqrt
-from sys import float_info
+from math import ceil, exp, fmod, frexp, inf, ldexp, log2
 
 import numpy as np
 
@@ -76,7 +75,7 @@ RECORD_BYTES = 16 * 2**20
 _legendre = lru_cache(np.polynomial.legendre.leggauss)  # 0.4 ms a call
 
 
-# Unused: kept because the benchmark reads its cross_tolerance.
+# Read by tests/euler.py and tests/test_inversion.py, and by the benchmark.
 @dataclass(frozen=True)
 class InversionConfig:
     cross_tolerance: float = 1e-6
@@ -110,11 +109,11 @@ def _check_time(t):
         raise DomainError(f"time-domain answers require 0 <= t < inf, got t={t}")
 
 
-def _chain(m, plan, law):
+def _chain(plan, law):
     """q, alpha and the one-step operators of the uniformized chain on
     x[ell, n, phase] (module docstring), in the order _step takes them."""
     start, sub = service.phase_type(law)
-    rates = np.r_[0.0, kernels.plan_rates(plan)[:m]]  # lambda_0 = 0
+    rates = np.r_[0.0, kernels.plan_rates(plan)]  # lambda_0 = 0
     q = float(rates.max() + np.max(-np.diag(sub)))
     # stay and arrive are spelled out over the phases: a product with a
     # trailing axis of length 1 runs numpy's inner loop p entries at a time
@@ -133,19 +132,11 @@ def _step(x, stay, arrive, move, restart):
     return nxt
 
 
-def _initial(k, m, start):
-    check_counts(k, m)
+def _initial(k, m, plan, start):
+    check_counts(k, m, plan)
     x = np.zeros((k + m + 1, m + 1, len(start)))
     x[k, m] = start
     return x
-
-
-def _series(q, t):
-    """y = q t and the y + 9 sqrt(y) + 10 Poisson terms that reach past all
-    but 1e-17 of the weight.  Past the largest float every weight has long
-    underflowed to zero, so y stops there."""
-    y = min(q * t, float_info.max)
-    return y, ceil(y + 9.0 * sqrt(y) + 10.0)
 
 
 def _stops(j, x):
@@ -164,9 +155,9 @@ def _uniformized(k, m, plan, law, t):
     as the time to empty.
     """
     _check_time(t)
-    q, start, ops = _chain(m, plan, law)
-    x = _initial(k, m, start)
-    y, terms = _series(q, t)
+    q, start, ops = _chain(plan, law)
+    x = _initial(k, m, plan, start)
+    y, terms = kernels._series(q * t)
     weights = _poisson_weights(y)
     total = next(weights)
     out = total * x
@@ -190,8 +181,8 @@ class _Record:
     steps on from x_J unstored: its terms past the cap, record untouched."""
 
     def __init__(self, k, m, plan, law):
-        self.q, self.start, self._ops = _chain(m, plan, law)
-        self._x = _initial(k, m, self.start)
+        self.q, self.start, self._ops = _chain(plan, law)
+        self._x = _initial(k, m, plan, self.start)
         self._ones = np.ones(m + 1)  # ones @ x: 20x faster than x.sum(axis=1)
         self._rows = np.empty((8, k + m + 1, len(self.start)))
         np.matmul(self._ones, self._x, out=self._rows[0])
@@ -203,7 +194,7 @@ class _Record:
         """sum_n x[ell, n, phase] at time t: the rows, then any terms past
         the cap stepped on from x_J (_step leaves it as it is), under the
         Poisson(q t) weights, plus the weight left after a stop on (0, 0)."""
-        y, terms = _series(self.q, t)
+        y, terms = kernels._series(self.q * t)
         with self._lock:
             while self.size < min(terms, self.cap) and self.stop is None:
                 j = self.size
@@ -282,7 +273,7 @@ def _reflected(k, m, plan, d, t, shifts):
     own e^{L (d - xi)}.  Grid point j, at offset s = C - 1 - j from the
     last, masks no row while s >= max(top, 1), so the steps before the
     last max(top, 1) grid points are one _jump of the single law vector."""
-    check_counts(k, m)
+    check_counts(k, m, plan)
     chain = kernels._death_chain(plan, d)
     steps, rest = _grid(t, d)
     shifts = np.asarray(shifts, dtype=float)
@@ -377,15 +368,16 @@ def workload_lst_at_time(k, m, plan, law, alpha, t):
     law from the reflection map's pass shifted by xi, by Gauss-Legendre on
     the two pieces of [0, d) either side of the break in the grid count,
     each cut at LST_CLIP / alpha (module docstring).  The value is a float,
-    beta(alpha)^k at t = 0.  A complex or negative alpha raises DomainError.
+    beta(alpha)^k at t = 0.  A bad k, m or plan, or an alpha off [0, inf),
+    raises DomainError; a complex alpha on that half-line counts as real.
     """
     if np.imag(alpha) != 0 or not 0 <= np.real(alpha) < inf:
         raise DomainError(f"workload_lst_at_time requires a real alpha >= 0, got {alpha}")
+    alpha = float(np.real(alpha))
     _check_time(t)
     if isinstance(law, Deterministic):
         return _reflected_lst(k, m, plan, law.value, alpha, t)
-    start, sub = service.phase_type(law)
-    residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, -sub.sum(axis=1))
+    residual = service.residual_lst(law, alpha)
     levels = _record(k, m, plan, law).levels(t)
     queued = service.lst(law, alpha) ** np.arange(k + m)
     return float(levels[0].sum() + queued @ (levels[1:] @ residual))

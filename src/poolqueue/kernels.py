@@ -38,6 +38,7 @@ gamma is one killing rate per call, real or complex.
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import ceil, inf, lgamma, log, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -128,6 +129,12 @@ def _kill_integrals(x, y, w):
     return g
 
 
+def _series(y):
+    """y, capped at the largest float, and the Poisson(y) terms past 1 - 1e-17."""
+    y = min(y, float_info.max)
+    return y, ceil(y + 9.0 * sqrt(y) + 10.0)
+
+
 class _DeathChain:
     """The gamma-free uniformized death chain of one (plan, d): the rates
     lams = (0, lambda_1, ..., lambda_m), q = max(lambda_max, 1/d), y = q d,
@@ -144,7 +151,7 @@ class _DeathChain:
         if not self.y < inf:
             raise DomainError(f"lambda_max * d = {top:g} * {d:g} is not finite")
         # float: a product with float logs then needs no cast
-        self.terms = np.arange(ceil(self.y + 9.0 * sqrt(self.y) + 10.0), dtype=float)
+        self.terms = np.arange(_series(self.y)[1], dtype=float)
         # over Python ints: lgamma of a numpy scalar is eight times slower
         self.log_factorials = np.array([lgamma(j + 1.0) for j in range(len(self.terms))])
         for array in (self.lams, self.terms, self.log_factorials):
@@ -279,22 +286,22 @@ def kernel_rows(plan, law, gamma, alpha):
     r_{ni}(alpha) integrates e^{-gamma t} E[e^{-alpha(B-t)} ; i arrivals by
     t, t < B] over t, so v = gamma r(0), which its callers form; the
     waiting times read r as it is.  Phase-type: u_{ni} = x_i s0 and
-    r_{ni} = x_i (alpha I - S)^{-1} s0, the residual service after t being
-    PH from the phase it is in.  Deterministic: power series in the
-    uniformized death chain, the second carrying the factor e^{-alpha(d - t)}.
+    r_{ni} = x_i (alpha I - S)^{-1} s0 (service.residual_lst).  Deterministic:
+    power series in the uniformized death chain, r's with e^{-alpha(d - t)}.
 
-    A gamma that is not a scalar, or is real and outside [0, inf), raises
-    DomainError.  A complex one is not checked: the transforms continue
-    analytically off the real axis, where the tests' Euler oracle takes them.
+    DomainError is raised for a gamma that is not a scalar or is real and
+    outside [0, inf), and for any alpha whose real part is not in [0, inf).
+    A complex gamma is not checked: the transforms continue analytically off
+    the real axis, where the tests' Euler oracle takes them.
     """
     if np.ndim(gamma) or np.isrealobj(gamma) and not 0 <= gamma < inf:
         raise DomainError(f"gamma must be one killing rate, real ones in [0, inf); got {gamma!r}")
+    if not 0 <= alpha.real < inf:
+        raise DomainError(f"alpha must have finite nonnegative real part, got {alpha}")
     if isinstance(law, Deterministic):
         return _deterministic_tables(plan, law.value, gamma, alpha)
     start, sub = service.phase_type(law)
-    exit_rates = -sub.sum(axis=1)
-    residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)
-    cols = np.column_stack((exit_rates, residual))
+    cols = np.column_stack((-sub.sum(axis=1), service.residual_lst(law, alpha)))
     return tuple(_phase_tables(plan, start, sub, gamma, cols))
 
 
@@ -312,18 +319,15 @@ class KernelTables:
 
     def v_alpha(self, alpha):
         """E[e^{-alpha(B-T)} ; i arrivals by T, T <= B] at [n, n - i]:
-        gamma r(alpha) (see kernel_rows).  At alpha = 0 it is v."""
+        gamma r(alpha) from kernel_rows, which checks alpha; v at alpha = 0."""
         return self.gamma * kernel_rows(self.plan, self.law, self.gamma, alpha)[1]
 
 
 def build_tables(plan, law, gamma):
-    """u and v = gamma r(0) from kernel_rows at alpha = 0 (KernelTables).
-
-    gamma is one killing rate; it may be complex (the transforms continue
-    analytically off the real axis), and the [0,1] range only applies when
-    it is real.  At gamma = 0 the deadline is infinite: v vanishes and u
-    has row sums 1.  gamma is checked as in kernel_rows, and laws that are
-    neither phase-type nor Deterministic raise UnsupportedTransform.
+    """u and v = gamma r(0) from kernel_rows at alpha = 0 (KernelTables),
+    which checks gamma.  At gamma = 0 the deadline is infinite: v vanishes
+    and u has row sums 1.  Laws that are neither phase-type nor
+    Deterministic raise UnsupportedTransform.
     """
     u, v = kernel_rows(plan, law, gamma, 0.0)
     v *= gamma  # in place: at m = 300 a second table is 0.7 MB of peak RSS

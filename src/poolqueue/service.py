@@ -23,9 +23,9 @@ __all__ = [
     "HyperExponential",
     "Deterministic",
     "Pareto",
-    "ServiceLaw",
     "lst",
     "phase_type",
+    "residual_lst",
     "tail",
     "mean",
     "sample",
@@ -98,9 +98,6 @@ class Pareto:
             raise ValueError("scale must be positive and finite")
 
 
-ServiceLaw = Exponential | Erlang | HyperExponential | Deterministic | Pareto
-
-
 def _require_transform(law):
     if isinstance(law, Pareto):
         raise UnsupportedTransform("Pareto is simulation-only; no transform available")
@@ -135,6 +132,12 @@ def phase_type(law):
     if isinstance(law, HyperExponential):
         return np.array(law.weights), -np.diag(law.rates)
     raise UnsupportedTransform(f"{type(law).__name__} is not phase-type")
+
+
+def residual_lst(law, alpha):
+    """(alpha I - S)^{-1} s0: E[e^{-alpha R}], R the residual service from each phase."""
+    start, sub = phase_type(law)
+    return np.linalg.solve(alpha * np.eye(len(start)) - sub, -sub.sum(axis=1))
 
 
 def tail(law, t):

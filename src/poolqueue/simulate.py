@@ -26,7 +26,7 @@ from math import inf, isfinite
 import numpy as np
 
 from . import inversion, kernels, service
-from .errors import DomainError, UnsupportedOracle, UnsupportedTransform, check_counts
+from .errors import UnsupportedOracle, UnsupportedTransform, check_counts
 
 __all__ = ["SimConfig", "SimReport", "simulate", "ctmc_resolvent", "ctmc_at_time"]
 
@@ -36,6 +36,8 @@ _BLOCK = 2048  # replications per block of the recursion and the estimators
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One Monte Carlo study; a bad k, m or plan raises DomainError, a ValueError."""
+
     k: int
     m: int
     plan: object
@@ -51,8 +53,7 @@ class SimConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if self.k < 0 or self.m < 0:
-            raise ValueError("k and m must be nonnegative")
+        check_counts(self.k, self.m, self.plan)
         if self.gamma is not None and not 0 < self.gamma < inf:
             raise ValueError("gamma must be positive and finite, or None")
         if self.seed < 0:
@@ -255,9 +256,9 @@ def ctmc_resolvent(k, m, plan, law, gamma):
     """
     if not 0 < gamma < inf:
         raise ValueError("gamma must be positive and finite")
-    check_counts(k, m)
+    check_counts(k, m, plan)
     start, sub, exit_ = _phases(law)
-    top, rates = k + m, np.r_[0.0, kernels.plan_rates(plan)[:m]]  # lambda_0 = 0
+    top, rates = k + m, np.r_[0.0, kernels.plan_rates(plan)]  # lambda_0 = 0
     res = np.linalg.inv((gamma + rates)[:, None, None] * np.eye(len(start)) - sub)
     feeds = start @ res  # alpha R_n: a completion's restart, per column
     ratios = (feeds @ exit_).tolist()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, service
-from .errors import DomainError, check_counts
+from .errors import check_counts
 
 __all__ = [
     "PgfPolynomial",
@@ -78,9 +78,9 @@ def sweep(k, m, plan, gamma, u, v):
     v may carry a trailing phase axis, v[n, n', phi], such as the phase
     vectors x_i of the kernel recursion; joint[c, n', phi] then carries it
     too, in the same pass.  Its row c = 0, where nobody is in service, is
-    left zero.  A negative k or m raises DomainError.
+    left zero.  A negative k or m, or a plan not m rates long, raises DomainError.
     """
-    check_counts(k, m)
+    check_counts(k, m, plan)
     size = m + 1
     phases = np.shape(v)[2:]
     width = int(np.prod(phases))
@@ -138,10 +138,9 @@ def joint_transform(k, m, plan, law, gamma, alpha):
     One kernel build at alpha and one sweep: the row sums of the joint
     table for c >= 1 present carry beta(alpha)^{c-1} for the services
     still queued behind the residual one.  At alpha = 0 it reduces to
-    pgf().  The coefficients are real at real gamma and alpha.
+    pgf().  The coefficients are real at real gamma and alpha, which
+    kernels.kernel_rows checks.
     """
-    if not 0 <= alpha.real < np.inf:
-        raise DomainError(f"alpha must have finite nonnegative real part, got {alpha}")
     u, r = kernels.kernel_rows(plan, law, gamma, alpha)
     joint, _ = sweep(k, m, plan, gamma, u, gamma * r)
     coeffs = joint.sum(-1)

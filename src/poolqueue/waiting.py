@@ -104,8 +104,7 @@ def _waiting_lsts(alpha, k, m, plan, law):
         u, deposit = kernels.kernel_rows(plan, law, 0.0, alpha)
         residual, _ = transient.sweep(k, m, plan, 0.0, u, deposit)
     else:
-        _, sub = service.phase_type(law)
-        residual = record.joint @ np.linalg.solve(alpha * np.eye(len(sub)) - sub, -sub.sum(axis=1))
+        residual = record.joint @ service.residual_lst(law, alpha)
     powers = service.lst(law, alpha) ** np.arange(k + m)
     lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
     arriving = record.empty + lams * (powers @ residual[1:])

@@ -307,6 +307,19 @@ class TestCrossCheckRegressions:
 
 
 class TestScalarWrappers:
+    @pytest.mark.parametrize(
+        "law", [service.Deterministic(0.8), service.Exponential(1.0)], ids=["det", "exp"]
+    )
+    def test_workload_lst_at_complex_typed_real_alpha(self, law):
+        # An alpha of complex type on the real axis is its real part: the
+        # same float, with no ComplexWarning and no TypeError
+        plan = kernels.Constant(1.0, 3)
+        want = inversion.workload_lst_at_time(2, 3, plan, law, 2.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inversion.workload_lst_at_time(2, 3, plan, law, 2 + 0j, 1.0)
+        assert type(got) is float and got == want
+
     def test_pgf_at_time_zero(self):
         got = inversion.pgf_at_time(
             2, 1, kernels.Constant(1.0, 1), service.Exponential(1.0), 0.6, 0.0

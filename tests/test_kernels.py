@@ -433,6 +433,20 @@ class TestWorkloadKernel:
         assert tables.v_alpha(alpha)[0, 0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf, -0.5 + 1j])
+    def test_alpha_outside_domain_refused(self, law, alpha):
+        # kernel_rows checks every deadline alpha, so an alpha whose real
+        # part is negative, infinite or NaN builds no table
+        plan = kernels.Constant(1.0, 3)
+        tables = kernels.build_tables(plan, law, 1.0)
+        for call in (
+            lambda: kernels.kernel_rows(plan, law, 1.0, alpha),
+            lambda: tables.v_alpha(alpha),
+        ):
+            with pytest.raises(DomainError, match="alpha must have finite nonnegative real part"):
+                call()
+
+    @pytest.mark.parametrize("law", LAWS)
     def test_monte_carlo_check(self, law):
         # E[e^{-alpha(B-T)}; i arrivals by T, T <= B] estimated directly
         rng = np.random.default_rng(99)

@@ -529,12 +529,6 @@ class TestCtmcOracles:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14
 
-    def test_resolvent_ignores_rates_past_m(self):
-        law = service.Exponential(1.0)
-        got = simulate.ctmc_resolvent(2, 3, kernels.Constant(0.7, 6), law, 0.9)
-        want = simulate.ctmc_resolvent(2, 3, kernels.Constant(0.7, 3), law, 0.9)
-        assert np.array_equal(got, want)
-
     @pytest.mark.parametrize(
         "plan", [kernels.Constant(0.9, 200), kernels.Proportional(0.01, 200)],
         ids=["constant", "proportional"],

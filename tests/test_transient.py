@@ -53,8 +53,8 @@ def uniformized_resolvent(k, m, plan, law, gamma):
     of inversion._step.  The sum stops once the weight left is below
     1e-18, or once the chain has absorbed at (0, 0), where that weight then
     goes.  No kernel table and no diagonal sweep takes part."""
-    q, start, ops = inversion._chain(m, plan, law)
-    x = inversion._initial(k, m, start)
+    q, start, ops = inversion._chain(plan, law)
+    x = inversion._initial(k, m, plan, start)
     ratio = q / (q + gamma)
     out = np.zeros(k + m + 1)
     j = 0
@@ -455,4 +455,37 @@ class TestNegativeCounts:
             ]
         for call in calls:
             with pytest.raises(DomainError, match="k and m must be nonnegative"):
+                call()
+
+
+class TestPlanLength:
+    """A rate plan is exactly lambda_1..lambda_m: a plan one rate longer or
+    one rate shorter than m is refused by every entry, not answered from
+    its first m rates nor failed inside numpy."""
+
+    @pytest.mark.parametrize("law", [service.Erlang(2, 2.0), service.Deterministic(0.8)])
+    @pytest.mark.parametrize("rates", [4, 2], ids=["longer", "shorter"])
+    def test_every_entry_refuses_a_plan_not_m_rates_long(self, law, rates):
+        k, m, plan = 2, 3, kernels.Constant(0.9, rates)
+        calls = [
+            lambda: transient.pgf(k, m, plan, law, 0.7),
+            lambda: transient.pmf(k, m, plan, law, 0.7),
+            lambda: transient.factorial_moments(k, m, plan, law, 0.7, 2),
+            lambda: transient.joint_transform(k, m, plan, law, 0.7, 0.5),
+            lambda: transient.workload_lst(k, m, plan, law, 0.7, 0.5),
+            lambda: waiting.emptiness_probs(k, m, plan, law),
+            lambda: waiting.waiting_mean(k + m, k, m, plan, law),
+            lambda: waiting.waiting_lst(k + m, 0.5, k, m, plan, law),
+            lambda: inversion.pmf_at_time(k, m, plan, law, 1.0),
+            lambda: inversion.pgf_at_time(k, m, plan, law, 0.5, 1.0),
+            lambda: inversion.workload_lst_at_time(k, m, plan, law, 0.5, 1.0),
+            lambda: simulate.SimConfig(k, m, plan, law, gamma=0.7),
+        ]
+        if not isinstance(law, service.Deterministic):
+            calls += [
+                lambda: simulate.ctmc_resolvent(k, m, plan, law, 0.7),
+                lambda: simulate.ctmc_at_time(k, m, plan, law, 1.0),
+            ]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"the plan has {rates} rates for a pool of m = 3"):
                 call()

@@ -240,8 +240,8 @@ def occupation_measure(k, m, plan, law):
     before it absorbs at (0, 0): (1 / q) sum_j x_j over the iterates of
     inversion._step, summed until the mass off (0, 0) is below 1e-18.  No
     kernel table and no diagonal sweep takes part."""
-    q, start, ops = inversion._chain(m, plan, law)
-    x = inversion._initial(k, m, start)
+    q, start, ops = inversion._chain(plan, law)
+    x = inversion._initial(k, m, plan, start)
     total = np.zeros_like(x)
     while x[1:].sum() + x[0, 1:].sum() >= 1e-18:
         total += x
