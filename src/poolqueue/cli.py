@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from . import geometric, inversion, kernels, service, simulate, transient, waiting
-from .errors import PoolQueueError, UnsupportedOracle, check_counts
+from .errors import PoolQueueError, UnsupportedTransform, check_counts
 
 __all__ = ["main", "run"]
 
@@ -76,12 +76,7 @@ def parse_plan(text, m):
         if kind == "prop":
             return kernels.Proportional(float(rest), m)
         if kind == "general":
-            rates = tuple(float(x) for x in rest.split(","))
-            if len(rates) != m:
-                raise UsageError(
-                    f"general plan needs exactly m={m} rates, got {len(rates)}"
-                )
-            return kernels.General(rates)
+            return kernels.General(rest.split(","))
     except ValueError as exc:
         raise UsageError(f"bad rate plan {text!r}: {exc}") from exc
     raise UsageError(
@@ -406,7 +401,7 @@ def cmd_validate(settings):
     exact = transient.pmf(k, m, plan, law, gamma)
     try:
         marginal = simulate.ctmc_resolvent(k, m, plan, law, gamma).sum(axis=1)
-    except UnsupportedOracle:
+    except UnsupportedTransform:
         pass  # no finite chain for Deterministic service
     else:
         err = float(np.max(np.abs(exact - marginal)))

@@ -7,7 +7,8 @@ class PoolQueueError(Exception):
 
 
 class UnsupportedTransform(PoolQueueError):
-    """A transform-side operation was requested for a law that lacks it."""
+    """A law lacks what an operation needs: a transform (Pareto), or the
+    phase-type form (alpha, S, s0) that the CTMC oracles take."""
 
 
 class DomainError(PoolQueueError, ValueError):
@@ -25,11 +26,6 @@ def check_counts(k, m, plan):
 
 class SingularityGuard(PoolQueueError):
     """Evaluation was requested too close to an excluded singular point."""
-
-
-class UnsupportedOracle(PoolQueueError):
-    """An exact CTMC oracle was requested for a service law that is not
-    phase-type (Deterministic or Pareto), so it has no finite chain."""
 
 
 # Read by tests/euler.py and tests/test_inversion.py; the benchmark counts it.

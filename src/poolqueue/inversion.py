@@ -34,14 +34,15 @@ that fail its bound.  At xi = 0 it is P(Z(t) <= j).  The matrices come
 from one cached death chain per (plan, d) (kernels._death_chain): the
 first step is its orbit e_m P^j under the Poisson weights of the first
 time, and each grid step, like the last at xi = 0, is its e^{L d}, whose
-rows are rescaled to sum to 1 so that repeated steps leak no mass.  No
-bound zeroes a row delta <= 0, so one row stands for them all, and no
-grid point more than max(top, 1) before the last (top the largest row
+rows are rescaled to sum to 1.  No bound zeroes a row delta <= 0, so one
+row stands for them all, and its mass is 1 in exact arithmetic: the pass
+divides by it once, after its last step, so that rounding leaks no mass.
+No grid point more than max(top, 1) before the last (top the largest row
 read out) zeroes any row: the rows stay equal up to there, and the steps
 up to there are one jump of the single law vector by binary powers of
-e^{L d}, O(log C) products, renormalized to mass 1.  Every term is a
-probability, and once the pool has drained no bound can fail, so the pass
-stops there; a pool that never drains costs the jump, not C steps.
+e^{L d}, O(log C) products.  Every term is a probability, and once the
+pool has drained no bound can fail, so the pass stops there; a pool that
+never drains costs the jump, not C steps.
 
 The workload transform, alpha times the integral of e^{-alpha x}
 P(W(t) <= x), takes LST_NODES-point Gauss-Legendre in xi on each side of
@@ -112,14 +113,14 @@ def _check_time(t):
 def _chain(plan, law):
     """q, alpha and the one-step operators of the uniformized chain on
     x[ell, n, phase] (module docstring), in the order _step takes them."""
-    start, sub = service.phase_type(law)
-    rates = np.r_[0.0, kernels.plan_rates(plan)]  # lambda_0 = 0
-    q = float(rates.max() + np.max(-np.diag(sub)))
+    start, sub, exit_ = service.phase_type(law)
+    lams = plan.lams
+    q = float(lams.max() + np.max(-np.diag(sub)))
     # stay and arrive are spelled out over the phases: a product with a
     # trailing axis of length 1 runs numpy's inner loop p entries at a time
-    stay = np.repeat((1.0 - rates / q)[:, None], len(start), axis=1)
-    arrive = np.repeat((rates[1:] / q)[:, None], len(start), axis=1)
-    restart = np.outer(-sub.sum(axis=1) / q, start)  # a completion, then alpha
+    stay = np.repeat((1.0 - lams / q)[:, None], len(start), axis=1)
+    arrive = np.repeat((lams[1:] / q)[:, None], len(start), axis=1)
+    restart = np.outer(exit_ / q, start)  # a completion, then alpha
     return q, start, (stay, arrive, sub / q, restart)
 
 
@@ -250,15 +251,16 @@ def _grid(t, d):
 
 
 def _jump(law, step, count):
-    """law step^count by binary powers of step, renormalized to mass 1: the
-    unmasked grid steps in O(log count) products."""
+    """law step^count by binary powers of step: the unmasked grid steps in
+    O(log count) products, not renormalized (_reflected divides by row 0's
+    mass once, after its last step)."""
     while count:
         if count & 1:
             law = law @ step
         count >>= 1
         if count:
             step = step @ step
-    return law / law.sum(axis=-1, keepdims=True)
+    return law
 
 
 def _reflected(k, m, plan, d, t, shifts):
@@ -304,6 +306,7 @@ def _reflected(k, m, plan, d, t, shifts):
             x = chain.series(x, chain.weights(d - shifts))
         else:
             x = x @ chain.step
+    x /= x[:, :1].sum(axis=2, keepdims=True)  # row 0's mass, 1 but for rounding
     # F[i, j]: row 0's mass at A <= j + below, then x[i, delta, A = j + delta] by delta
     size = k + m + 1
     held = np.cumsum(x[:, 0, ::-1], axis=1)[:, np.minimum(np.arange(size + below), m)]

@@ -11,14 +11,16 @@ when a service starts, and n' = n - i after i of them have arrived,
 
 The outstanding count is a pure-death process with rates lambda_n, so a
 rate plan is just its vector (lambda_1, ..., lambda_m): one RatePlan,
-which Constant, Proportional and General build.  The tables are built in
-one of two ways, neither of which forms alternating sums that grow with m:
+which Constant, Proportional and General build and which holds the
+chain's rates lams = (lambda_0, ..., lambda_m), lambda_0 = 0.  The tables
+are built in one of two ways, neither of which forms alternating sums
+that grow with m:
 
 * phase-type service (alpha, S) with exit vector s0 = -S 1: per row n,
   x_0 = alpha ((gamma + lambda_n) I - S)^{-1} and
-  x_i = lambda_{n-i+1} x_{i-1} ((gamma + lambda_{n-i}) I - S)^{-1}
-  (lambda_0 = 0), so u_{ni} = x_i s0 and v_{ni} = gamma x_i 1; at real
-  gamma every factor is nonnegative;
+  x_i = lambda_{n-i+1} x_{i-1} ((gamma + lambda_{n-i}) I - S)^{-1}, so
+  u_{ni} = x_i s0 and v_{ni} = gamma x_i 1; at real gamma every factor
+  is nonnegative;
 * Deterministic(d) service: power series in the uniformized death chain
   P = I + L/q, L being the death generator (after Lucantoni's uniformized
   M/G/1-type matrices): u = e^{-gamma d} e^{L d}, a Poisson mixture of the
@@ -54,7 +56,6 @@ __all__ = [
     "Constant",
     "Proportional",
     "General",
-    "plan_rates",
     "kernel_rows",
     "KernelTables",
     "build_tables",
@@ -64,9 +65,12 @@ __all__ = [
 @dataclass(frozen=True)
 class RatePlan:
     """The rates (lambda_1, ..., lambda_m): lambda_n drives the next arrival
-    while n customers are still to come.  Rates may repeat."""
+    while n customers are still to come.  Rates may repeat.  lams is the
+    death chain's read-only rate vector (0, lambda_1, ..., lambda_m), in
+    which lambda_0 = 0: nobody is left to arrive."""
 
     rates: tuple
+    lams: np.ndarray = field(init=False, repr=False, compare=False)
     # every cached answer keys on the plan, so its hash is taken once
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -74,6 +78,9 @@ class RatePlan:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if not all(0 < r < inf for r in self.rates):
             raise ValueError("all rates must be positive and finite")
+        lams = np.array((0.0,) + self.rates)
+        lams.flags.writeable = False
+        object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "_hash", hash(self.rates))
 
     def __hash__(self):
@@ -108,11 +115,6 @@ def General(rates):
     return RatePlan(rates)
 
 
-def plan_rates(plan):
-    """The vector (lambda_1, ..., lambda_m)."""
-    return np.asarray(plan.rates)
-
-
 def _kill_integrals(x, y, w):
     """G_j = integral_0^1 e^{-x s} (y s)^j / j! ds, where w_j = e^{-x} y^j / j!.
     x G_j = y G_{j-1} - w_j (x G_0 = 1 - w_0) runs forward where |x| > y and
@@ -136,7 +138,7 @@ def _series(y):
 
 
 class _DeathChain:
-    """The gamma-free uniformized death chain of one (plan, d): the rates
+    """The gamma-free uniformized death chain of one (plan, d): the plan's
     lams = (0, lambda_1, ..., lambda_m), q = max(lambda_max, 1/d), y = q d,
     the y + 9 sqrt(y) + 10 Poisson terms j and their log j! (past them
     under 1e-17 of Poisson(y), the widest weight, is left, so one count
@@ -145,7 +147,7 @@ class _DeathChain:
     callers."""
 
     def __init__(self, plan, d):
-        self.d, self.lams = d, np.concatenate(([0.0], plan_rates(plan)))
+        self.d, self.lams = d, plan.lams
         top = float(self.lams.max())
         self.q, self.y = max(top, 1.0 / d), max(top * d, 1.0)
         if not self.y < inf:
@@ -154,7 +156,7 @@ class _DeathChain:
         self.terms = np.arange(_series(self.y)[1], dtype=float)
         # over Python ints: lgamma of a numpy scalar is eight times slower
         self.log_factorials = np.array([lgamma(j + 1.0) for j in range(len(self.terms))])
-        for array in (self.lams, self.terms, self.log_factorials):
+        for array in (self.terms, self.log_factorials):
             array.flags.writeable = False
 
     def _powers(self, cols):
@@ -262,7 +264,7 @@ def _phase_tables(plan, start, sub, gamma, cols):
     criterion 9 (doubling m quadruples pgf's runtime), and no second,
     vectorized path is kept beside this one.
     """
-    lams = np.concatenate(([0.0], plan_rates(plan)))
+    lams = plan.lams
     size = len(lams)
     inverses = np.linalg.inv((lams + gamma)[:, None, None] * np.eye(len(start)) - sub)
     heads = start @ inverses
@@ -300,8 +302,8 @@ def kernel_rows(plan, law, gamma, alpha):
         raise DomainError(f"alpha must have finite nonnegative real part, got {alpha}")
     if isinstance(law, Deterministic):
         return _deterministic_tables(plan, law.value, gamma, alpha)
-    start, sub = service.phase_type(law)
-    cols = np.column_stack((-sub.sum(axis=1), service.residual_lst(law, alpha)))
+    start, sub, exit_ = service.phase_type(law)
+    cols = np.column_stack((exit_, service.residual_lst(law, alpha)))
     return tuple(_phase_tables(plan, start, sub, gamma, cols))
 
 

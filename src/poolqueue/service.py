@@ -4,10 +4,10 @@ Every law is a small frozen dataclass.  The transform-capable families
 (Exponential, Erlang, HyperExponential, Deterministic) expose the
 Laplace-Stieltjes transform of the service time in closed form, valid at
 complex arguments.  The first three are phase-type: phase_type gives their
-(alpha, S) representation, from which the kernel tables are built by a
-matrix recursion; Deterministic tables are power series in the
-uniformized arrival-count chain instead.  Pareto is simulation-only
-(tail, mean, sample).
+(alpha, S, s0) representation, s0 = -S 1 the exit vector, from which the
+kernel tables, the time-domain chain and the CTMC oracles are built;
+Deterministic tables are power series in the uniformized arrival-count
+chain instead.  Pareto is simulation-only (tail, mean, sample).
 """
 
 from dataclasses import dataclass
@@ -120,24 +120,28 @@ def lst(law, s):
 
 
 def phase_type(law):
-    """(alpha, S) of a phase-type law: B is the absorption time of the
-    transient generator S started in the distribution alpha."""
+    """(alpha, S, s0) of a phase-type law: B is the absorption time of the
+    transient generator S started in the distribution alpha, and s0 = -S 1
+    holds the exit rates.  Deterministic and Pareto laws raise
+    UnsupportedTransform."""
     if isinstance(law, Exponential):
-        return np.ones(1), np.array([[-law.rate]])
-    if isinstance(law, Erlang):
+        start, sub = np.ones(1), np.array([[-law.rate]])
+    elif isinstance(law, Erlang):
         c, r = law.shape, law.rate
         start = np.zeros(c)
         start[0] = 1.0
-        return start, r * (np.eye(c, k=1) - np.eye(c))
-    if isinstance(law, HyperExponential):
-        return np.array(law.weights), -np.diag(law.rates)
-    raise UnsupportedTransform(f"{type(law).__name__} is not phase-type")
+        sub = r * (np.eye(c, k=1) - np.eye(c))
+    elif isinstance(law, HyperExponential):
+        start, sub = np.array(law.weights), -np.diag(law.rates)
+    else:
+        raise UnsupportedTransform(f"{type(law).__name__} is not phase-type")
+    return start, sub, -sub.sum(axis=1)
 
 
 def residual_lst(law, alpha):
     """(alpha I - S)^{-1} s0: E[e^{-alpha R}], R the residual service from each phase."""
-    start, sub = phase_type(law)
-    return np.linalg.solve(alpha * np.eye(len(start)) - sub, -sub.sum(axis=1))
+    start, sub, exit_ = phase_type(law)
+    return np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_)
 
 
 def tail(law, t):

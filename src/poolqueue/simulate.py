@@ -7,9 +7,10 @@ times from its own substream; the FIFO single-server recursion and every
 estimator then run over one cache-sized block of replications at a time,
 on customer-major copies, so memory is one chunk's draws and a few blocks.
 The blocking changes no draw.  Level probabilities are estimated from
-per-level hit counts.  For phase-type service (alpha, S) the model is a
-finite continuous-time Markov chain on (customers present, customers yet
-to arrive, service phase), held as an array x[ell, n, phase] in which the
+per-level hit counts.  For phase-type service (alpha, S, s0), as
+service.phase_type gives it, the model is a finite continuous-time Markov
+chain on (customers present, customers yet to arrive, service phase) with
+the plan's rates lams, held as an array x[ell, n, phase] in which the
 idle state (0, n) is stored as its mass times alpha: an arrival then moves
 every row (ell, n) to (ell+1, n-1) alike, a completion from ell >= 1 feeds
 ell-1 through s0 alpha, and only rows ell >= 1 take the phase moves of S.
@@ -17,7 +18,8 @@ Its distribution at an exponential deadline (resolvent) follows by
 substitution, column by column.  Its distribution at a fixed time is a
 full-state pass of the uniformization (inversion._uniformized), the
 reference that the per-model record answering the time-domain queries is
-tested against.
+tested against.  Deterministic and Pareto service have no finite chain:
+both oracles raise service.phase_type's UnsupportedTransform for them.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +27,8 @@ from math import inf, isfinite
 
 import numpy as np
 
-from . import inversion, kernels, service
-from .errors import UnsupportedOracle, UnsupportedTransform, check_counts
+from . import inversion, service
+from .errors import check_counts
 
 __all__ = ["SimConfig", "SimReport", "simulate", "ctmc_resolvent", "ctmc_at_time"]
 
@@ -106,8 +108,7 @@ def _draw(config, rng, n_rep):
     draws, and the kill times, if any, are the stream's next draws.
     """
     gaps = rng.standard_exponential(size=(n_rep, config.m))
-    if config.m:
-        gaps *= 1.0 / kernels.plan_rates(config.plan)[::-1]
+    gaps *= 1.0 / config.plan.lams[:0:-1]
     services = service.sample(config.law, rng, size=(n_rep, config.k + config.m))
     return gaps, services
 
@@ -230,15 +231,6 @@ def simulate(config):
     return tally.report()
 
 
-def _phases(law):
-    """(alpha, S, s0 = -S 1) of a phase-type law."""
-    try:
-        start, sub = service.phase_type(law)
-    except UnsupportedTransform as exc:
-        raise UnsupportedOracle(f"exact CTMC oracles need phase-type service: {exc}") from None
-    return start, sub, -sub.sum(axis=1)
-
-
 def ctmc_resolvent(k, m, plan, law, gamma):
     """Exact distribution of (Z, still-to-arrive) at an Exp(gamma) deadline.
 
@@ -253,13 +245,14 @@ def ctmc_resolvent(k, m, plan, law, gamma):
 
     so one matmul applies R_n to a whole column and the completions are the
     scalar recursion c_ell = b[ell] R_n s0 + c_{ell+1} alpha R_n s0.
+    A law that is not phase-type raises UnsupportedTransform.
     """
     if not 0 < gamma < inf:
         raise ValueError("gamma must be positive and finite")
     check_counts(k, m, plan)
-    start, sub, exit_ = _phases(law)
-    top, rates = k + m, np.r_[0.0, kernels.plan_rates(plan)]  # lambda_0 = 0
-    res = np.linalg.inv((gamma + rates)[:, None, None] * np.eye(len(start)) - sub)
+    start, sub, exit_ = service.phase_type(law)
+    top, lams = k + m, plan.lams
+    res = np.linalg.inv((gamma + lams)[:, None, None] * np.eye(len(start)) - sub)
     feeds = start @ res  # alpha R_n: a completion's restart, per column
     ratios = (feeds @ exit_).tolist()
     x = np.zeros((top + 1, m + 1, len(start)))
@@ -267,14 +260,14 @@ def ctmc_resolvent(k, m, plan, law, gamma):
     for n in range(m, -1, -1):
         col = x[: top - n + 1, n]
         if n < m:
-            col[1:] += rates[n + 1] * x[: top - n, n + 1]  # arrivals from n+1
+            col[1:] += lams[n + 1] * x[: top - n, n + 1]  # arrivals from n+1
         busy = col[1:] @ res[n]
         done, ratio = (busy @ exit_).tolist(), ratios[n]
         carry = [0.0] * (top - n + 1)  # carry[i] = c_{i+1}
         for i in range(top - n - 1, -1, -1):
             carry[i] = done[i] + ratio * carry[i + 1]
         col[1:] = busy + np.array(carry[1:])[:, None] * feeds[n]
-        col[0] = (col[0] + carry[0] * start) / (gamma + rates[n])
+        col[0] = (col[0] + carry[0] * start) / (gamma + lams[n])
     return x.sum(axis=2)
 
 
@@ -282,6 +275,6 @@ def ctmc_at_time(k, m, plan, law, t):
     """Exact distribution of (Z, still-to-arrive) at time t, by
     uniformization: the array P[ell, n] of inversion's full-state pass,
     summed over phases.  It keeps every state, where the time-domain
-    answers keep only the level sums; they are tested against it."""
-    _phases(law)  # UnsupportedOracle unless the law is phase-type
+    answers keep only the level sums; they are tested against it.  A law
+    that is not phase-type raises UnsupportedTransform."""
     return inversion._uniformized(k, m, plan, law, t).sum(axis=2)

@@ -93,7 +93,7 @@ def sweep(k, m, plan, gamma, u, v):
     empty = np.zeros(size, dtype=dtype)
     mass = np.zeros(size, dtype=dtype)
     mass[m] = 1.0
-    lams = kernels.plan_rates(plan)
+    lams = plan.lams[1:]
     kill = gamma / (gamma + lams)
     stay = lams / (gamma + lams)
     for s in range(k + m, 0, -1):

@@ -65,13 +65,13 @@ def _record(k, m, plan, law):
         _, empty = transient.sweep(k, m, plan, 0.0, tables.u, tables.v)
         joint = None
     else:
-        start, sub = service.phase_type(law)
-        cols = np.column_stack((-sub.sum(axis=1), np.eye(len(start))))
+        start, sub, exit_ = service.phase_type(law)
+        cols = np.column_stack((exit_, np.eye(len(start))))
         u, *phases = kernels._phase_tables(plan, start, sub, 0.0, cols)
         joint, empty = transient.sweep(k, m, plan, 0.0, u, np.stack(phases, axis=-1))
-    rates, rhos = kernels.plan_rates(plan), empty[m:0:-1]
+    rhos = empty[m:0:-1]
     means = np.arange(k + m) * service.mean(law)
-    means[k:] += np.cumsum((rhos - 1.0) / rates[::-1])
+    means[k:] += np.cumsum((rhos - 1.0) / plan.lams[:0:-1])
     for array in (empty, joint, means):
         if array is not None:
             array.setflags(write=False)
@@ -106,8 +106,7 @@ def _waiting_lsts(alpha, k, m, plan, law):
     else:
         residual = record.joint @ service.residual_lst(law, alpha)
     powers = service.lst(law, alpha) ** np.arange(k + m)
-    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
-    arriving = record.empty + lams * (powers @ residual[1:])
+    arriving = record.empty + plan.lams * (powers @ residual[1:])
     lsts = np.concatenate((powers[:k], arriving[m:0:-1]))
     lsts.setflags(write=False)
     return lsts

@@ -65,7 +65,7 @@ def test_criterion_2_exponential_closed_form():
     gm = gamma + mu
     for plan in (kernels.Constant(0.9, 6), kernels.Proportional(0.6, 6)):
         tables = kernels.build_tables(plan, law, gamma)
-        lams = kernels.plan_rates(plan)
+        lams = plan.lams[1:]
         for n in range(7):
             worst = max(
                 worst,

@@ -40,8 +40,6 @@ class TestParsing:
     def test_bad_strings_rejected(self):
         with pytest.raises(cli.UsageError):
             cli.parse_service("weibull:1")
-        with pytest.raises(cli.UsageError):
-            cli.parse_plan("general:1,2", 3)
 
 
 class TestSubcommands:
@@ -476,6 +474,22 @@ class TestErrors:
         )
         assert code == 1
         assert "excluded" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        ["pgf --gamma 1 --z 0.5", "pmf --gamma 1", "moments --gamma 1",
+         "workload --gamma 1 --alpha 0.5", "waiting", "at-time --t 1",
+         "simulate --gamma 1 --replications 100", "validate --replications 100"],
+    )
+    @pytest.mark.parametrize("law", ["exp:1", "det:0.8"])
+    def test_general_plan_of_the_wrong_length_refused(self, command, law, capsys):
+        # the library's check_counts refuses it, in every subcommand alike
+        for rates in ("1,2", "1,2,3,4"):
+            argv = command.split() + ["--k", "1", "--m", "3", "--plan", f"general:{rates}",
+                                      "--service", law]
+            code, out, err = run(argv, capsys)
+            assert code == 1 and out == ""
+            assert err == f"error: the plan has {len(rates.split(','))} rates for a pool of m = 3\n"
 
 
 # Every subcommand's options, as the parser offered them before the

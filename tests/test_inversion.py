@@ -400,7 +400,7 @@ def full_state_pmf(k, m, plan, law, t):
 
 def full_state_workload_lst(k, m, plan, law, alpha, t):
     """workload_lst_at_time's readout, from the full-state array."""
-    start, sub = service.phase_type(law)
+    start, sub, _ = service.phase_type(law)
     residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, -sub.sum(axis=1))
     levels = inversion._uniformized(k, m, plan, law, t).sum(axis=1)
     queued = service.lst(law, alpha) ** np.arange(k + m)
@@ -807,7 +807,7 @@ def stepped_reflection(k, m, plan, d, t, shifts):
         steps, rest = steps + 1, rest - d
     count = len(shifts)
     firsts = rest + shifts if steps else np.full(count, t)
-    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+    lams = plan.lams
     death = np.diag(lams[1:], -1) - np.diag(lams)
     taus = np.concatenate((firsts, [d], d - shifts))
     exps = np.array([scipy.linalg.expm(death * tau) for tau in taus])
@@ -1098,8 +1098,8 @@ class TestReflectionRoute:
         assert abs(got - 1.0) <= 1e-14
 
     def test_passes_leak_no_mass(self):
-        # e^{L d} with unit row sums and a jump renormalized to mass 1: the
-        # stepped pass lost 1.4e-15 at t = 100 and 1.8e-14 at (5, 200)
+        # e^{L d} with unit row sums and the pass divided once by row 0's
+        # mass: the stepped pass lost 1.4e-15 at t = 100 and 1.8e-14 at (5, 200)
         k, m, plan, law = REFLECTION_CASES[2]
         for t in (20.0, 40.0, 100.0):
             for shifts in piece_shifts(t, law.value):
@@ -1107,4 +1107,13 @@ class TestReflectionRoute:
                 assert np.all(cdf[:, -1] >= 1.0 - 1e-15)
         plan, law = kernels.Constant(1.1875, 200), service.Deterministic(0.8)
         for t in (120.0, 1000.0):
+            assert abs(inversion.pmf_at_time(5, 200, plan, law, t).sum() - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("lam", [1.15, 1.17, 1.2, 1.25])
+    @pytest.mark.parametrize("d", [0.79, 0.81])
+    def test_pass_holds_its_mass_at_every_rate(self, lam, d):
+        # Renormalizing the jump's law vector alone let the masked steps
+        # after it drift: 11 of these 16 sums were off by up to 1.0e-14
+        plan, law = kernels.Constant(lam, 200), service.Deterministic(d)
+        for t in (57.3, 120.0):
             assert abs(inversion.pmf_at_time(5, 200, plan, law, t).sum() - 1.0) <= 1e-15

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,9 +31,24 @@ def plans(m):
 
 class TestRatePlans:
     def test_rates_vector(self):
-        assert np.allclose(kernels.plan_rates(kernels.Constant(2.0, 3)), [2, 2, 2])
-        assert np.allclose(kernels.plan_rates(kernels.Proportional(0.5, 3)), [0.5, 1, 1.5])
-        assert np.allclose(kernels.plan_rates(kernels.General((1.0, 2.0))), [1, 2])
+        assert np.allclose(kernels.Constant(2.0, 3).lams, [0, 2, 2, 2])
+        assert np.allclose(kernels.Proportional(0.5, 3).lams, [0, 0.5, 1, 1.5])
+        assert np.allclose(kernels.General((1.0, 2.0)).lams, [0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "plan",
+        [kernels.Constant(1.3, 4), kernels.Constant(1.3, 0), kernels.Proportional(0.7, 5),
+         kernels.Proportional(0.7, 0), kernels.General((2.0, 0.5, 1.0)), kernels.General(())],
+    )
+    def test_lams_is_the_read_only_death_chain_rates(self, plan):
+        assert plan.lams.dtype == np.float64
+        assert tuple(plan.lams.tolist()) == (0.0,) + plan.rates
+        with pytest.raises(ValueError):
+            plan.lams[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.lams = np.zeros(plan.m + 1)
+        # derived from rates: no part of the plan's equality, hash or repr
+        assert plan == kernels.General(plan.rates) and "lams" not in repr(plan)
 
     @pytest.mark.parametrize(
         "bad",
@@ -77,7 +93,7 @@ class TestRatePlans:
 
     def test_proportional_rates_exact(self):
         for lam, m in ((0.5, 4), (0.37, 60), (1.3, 250)):
-            got = kernels.plan_rates(kernels.Proportional(lam, m))
+            got = kernels.Proportional(lam, m).lams[1:]
             assert np.array_equal(got, lam * np.arange(1, m + 1))
 
 
@@ -196,7 +212,7 @@ class TestKernelTables:
         # with xi' = gamma + mu, from the min(B, T) ~ Exp(gamma + mu) race
         mu, gamma = 1.3, 0.6
         plan = kernels.General((0.8, 1.5, 2.4))
-        lams = kernels.plan_rates(plan)
+        lams = plan.lams[1:]
         tables = kernels.build_tables(plan, service.Exponential(mu), gamma)
         gm = gamma + mu
         for n in range(1, 4):
@@ -283,7 +299,7 @@ class TestKernelTables:
 def per_entry_tables(plan, start, sub, gamma, cols):
     """The reference kernels._phase_tables must reproduce: the recursion
     x_i = x_{i-1} @ lambda_{n-i+1} R_{n-i}, one `@` operator per entry."""
-    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+    lams = plan.lams
     size = len(lams)
     inverses = np.linalg.inv((lams + gamma)[:, None, None] * np.eye(len(start)) - sub)
     heads = start @ inverses
@@ -302,7 +318,7 @@ class TestPhaseRecursion:
     def test_matches_the_per_entry_reference(self, law):
         # both column sets: kernel_rows' [s0 | residual] at each alpha and
         # the waiting record's [s0 | I]
-        start, sub = service.phase_type(law)
+        start, sub, _ = service.phase_type(law)
         exit_rates = -sub.sum(axis=1)
         col_sets = [np.column_stack((exit_rates, np.eye(len(start))))] + [
             np.column_stack((exit_rates, np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)))
@@ -321,7 +337,7 @@ def block_exponential(plan, d, gamma, alpha):
     """u and r(alpha) from scipy's exponential of the block
     [[(L - gamma I) d, d I], [0, -alpha d I]], L being the death generator:
     an independent reference for the Deterministic power series."""
-    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+    lams = plan.lams
     size = len(lams)
     death = np.diag(lams[1:], -1) - np.diag(lams)
     block = np.zeros((2 * size, 2 * size), dtype=complex)
@@ -483,7 +499,7 @@ class TestMonteCarloKernels:
         tables = kernels.build_tables(plan, law, gamma)
         b = service.sample(law, rng, size=reps)
         t = rng.exponential(1.0 / gamma, size=reps)
-        rates = kernels.plan_rates(plan)
+        rates = plan.lams[1:]
         gaps = rng.exponential(1.0 / rates[::-1][: n], size=(reps, n))
         arrivals = np.cumsum(gaps, axis=1)
         counts = (arrivals <= b[:, None]).sum(axis=1)

@@ -85,7 +85,7 @@ def closed_survival_transform_derivative_scaled(law, order, s):
     k = order
     if isinstance(law, service.Deterministic):
         return (-1) ** k * poisson_tail(k, s * law.value) / s ** (k + 1)
-    start, sub = service.phase_type(law)
+    start, sub, _ = service.phase_type(law)
     resolvent = s * np.eye(len(start)) - sub
     x = np.ones(len(start))
     for _ in range(k + 1):
@@ -132,8 +132,9 @@ class TestPhaseType:
         "law", [l for l in ALL_TRANSFORM_LAWS if not isinstance(l, service.Deterministic)]
     )
     def test_reproduces_lst_and_mean(self, law):
-        start, sub = service.phase_type(law)
+        start, sub, exit_ = service.phase_type(law)
         exit_rates = -sub.sum(axis=1)
+        assert np.array_equal(exit_, exit_rates)
         eye = np.eye(len(start))
         for s in (0.0, 0.3, 2.0, 0.5 + 1.5j, -0.4 + 2.0j):
             got = start @ np.linalg.solve(s * eye - sub, exit_rates)
@@ -249,7 +250,7 @@ class TestTailAndMean:
     )
     def test_tail_matches_phase_type_survival(self, law):
         # P(B > t) = alpha e^{S t} 1 for the phase-type representation.
-        start, sub = service.phase_type(law)
+        start, sub, _ = service.phase_type(law)
         for t in (0.0, 0.3, 1.7, 5.0):
             survival = start @ scipy.linalg.expm(sub * t) @ np.ones(len(start))
             assert service.tail(law, t) == pytest.approx(survival, abs=1e-13)

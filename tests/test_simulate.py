@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from poolqueue import kernels, service, simulate, transient
-from poolqueue.errors import UnsupportedOracle
+from poolqueue.errors import UnsupportedTransform
 
 
 LAWS = [
@@ -32,7 +32,7 @@ def reference_replay(config, rng, n_rep):
     total = k + m
     arrivals = np.zeros((n_rep, total))
     if m:
-        rates = kernels.plan_rates(config.plan)
+        rates = config.plan.lams[1:]
         gaps = rng.exponential(1.0 / rates[::-1], size=(n_rep, m))
         arrivals[:, k:] = np.cumsum(gaps, axis=1)
     services = service.sample(config.law, rng, size=(n_rep, total))
@@ -106,10 +106,10 @@ def reference_simulate(config, chunk):
 def dense_chain(k, m, plan, law):
     """Dense generator of the (ell, n, phase) chain with each idle state
     (0, n) kept as one state, its start vector and the index of each state."""
-    start, sub = service.phase_type(law)
+    start, sub, _ = service.phase_type(law)
     exit_ = -sub.sum(axis=1)
     phases = range(len(start))
-    rates = np.concatenate(([0.0], kernels.plan_rates(plan)[:m]))
+    rates = plan.lams
     index = {}
     for n in range(m + 1):
         index[0, n, 0] = len(index)
@@ -305,7 +305,7 @@ class TestSimulate:
         cfg = config(k=2, m=6, plan=kernels.Proportional(0.4, 6), law=law)
         rng, ref = simulate._chunk_rng(3, 1), simulate._chunk_rng(3, 1)
         gaps, services = simulate._draw(cfg, rng, 3000)
-        want = ref.exponential(1.0 / kernels.plan_rates(cfg.plan)[::-1], size=(3000, 6))
+        want = ref.exponential(1.0 / cfg.plan.lams[1:][::-1], size=(3000, 6))
         assert np.array_equal(gaps, want)
         assert np.array_equal(services, service.sample(law, ref, size=(3000, 8)))
         assert np.array_equal(rng.exponential(1 / 0.7, 3000), ref.exponential(1 / 0.7, 3000))
@@ -402,7 +402,7 @@ class TestArrivalProcess:
         plan = kernels.Proportional(0.7, 3)
         rng = np.random.default_rng(5)
         reps, t = 1_000_000, 1.1
-        rates = kernels.plan_rates(plan)
+        rates = plan.lams[1:]
         gaps = rng.exponential(1.0 / rates[::-1], size=(reps, 3))
         counts = (np.cumsum(gaps, axis=1) <= t).sum(axis=1)
         row = kernels.build_tables(plan, service.Deterministic(t), 0.0).u[3]
@@ -465,9 +465,9 @@ class TestCtmcOracles:
         dist = simulate.ctmc_resolvent(1, 1, plan, service.Erlang(2, 2.0), 1.0)
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
         for law in (service.Deterministic(1.0), service.Pareto(1.5, 1.0)):
-            with pytest.raises(UnsupportedOracle):
+            with pytest.raises(UnsupportedTransform):
                 simulate.ctmc_resolvent(1, 1, plan, law, 1.0)
-            with pytest.raises(UnsupportedOracle):
+            with pytest.raises(UnsupportedTransform):
                 simulate.ctmc_at_time(1, 1, plan, law, 1.0)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])

@@ -23,7 +23,7 @@ def exponential_tables(plan, mu, gamma):
     Products of race probabilities, exact at any pool size: an independent
     reference for the built tables and a way to test the sweep on its own.
     """
-    lams = kernels.plan_rates(plan)
+    lams = plan.lams[1:]
     gm = gamma + mu
     u = np.zeros((plan.m + 1, plan.m + 1))
     for n in range(plan.m + 1):
@@ -267,7 +267,7 @@ class TestPhaseAxis:
     @pytest.mark.parametrize("law", LAWS[:3] + [service.Erlang(4, 4.0)])
     @pytest.mark.parametrize("gamma", [0.7, 1.0 + 2.0j], ids=["0.7", "gamma1"])
     def test_projects_to_the_plain_sweep(self, law, gamma):
-        start, sub = service.phase_type(law)
+        start, sub, _ = service.phase_type(law)
         p = len(start)
         for k, m, plan in [(2, 5, kernels.Proportional(0.9, 5)), (0, 3, kernels.Constant(1.1, 3)),
                            (3, 0, kernels.Constant(1.0, 0))]:

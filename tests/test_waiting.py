@@ -92,7 +92,7 @@ class TestWaitingLst:
     def test_pole_removability(self):
         plan = kernels.General((0.9, 1.7, 2.6))
         for law in LAWS:
-            for lam in kernels.plan_rates(plan):
+            for lam in plan.lams[1:]:
                 lo = waiting.waiting_lst(5, lam * (1 - 1e-7), 2, 3, plan, law)
                 hi = waiting.waiting_lst(5, lam * (1 + 1e-7), 2, 3, plan, law)
                 assert abs(hi - lo) < 1e-4 * abs(lo)
@@ -215,7 +215,7 @@ def per_alpha_lsts(alpha, k, m, plan, law):
     u, residual = kernels.kernel_rows(plan, law, 0.0, alpha)
     joint, empty = transient.sweep(k, m, plan, 0.0, u, residual)
     powers = service.lst(law, alpha) ** np.arange(k + m)
-    lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+    lams = plan.lams
     arriving = empty + lams * (powers @ joint[1:])
     return np.concatenate((powers[:k], arriving[m:0:-1]))
 
@@ -226,7 +226,7 @@ def loop_mean(j, k, m, plan, law):
     if j <= k:
         return (j - 1) * mb
     rhos = waiting.emptiness_probs(k, m, plan, law)
-    lams = kernels.plan_rates(plan)
+    lams = plan.lams[1:]
     total = (j - 1) * mb
     for i in range(j - k):
         total -= 1.0 / lams[m - i - 1]
@@ -261,7 +261,7 @@ class TestRecord:
             record = waiting._record(k, m, plan, law)
             times = occupation_measure(k, m, plan, law)
             assert np.max(np.abs(record.joint[1:] - times[1:])) <= 1e-14
-            visits = kernels.plan_rates(plan) * times[0, 1:].sum(axis=1)
+            visits = plan.lams[1:] * times[0, 1:].sum(axis=1)
             assert np.max(np.abs(record.empty[1:] - visits)) <= 1e-14
 
     def test_means_are_exact_sums_at_a_large_pool(self):
@@ -305,13 +305,13 @@ class TestRecord:
     def test_means_from_phase_axis(self, law):
         # Customer j finds c present with the service in phase phi, then
         # waits the residual, (-S)^{-1} 1 from phi, and c - 1 full services.
-        _, sub = service.phase_type(law)
+        _, sub, _ = service.phase_type(law)
         residual_mean = np.linalg.solve(-sub, np.ones(len(sub)))
         for k, m, plan in shaped_plans():
             joint = waiting._record(k, m, plan, law).joint
             counts = np.arange(k + m + 1)[:, None, None]
             left = joint * ((counts - 1) * service.mean(law) + residual_mean)
-            lams = np.concatenate(([0.0], kernels.plan_rates(plan)))
+            lams = plan.lams
             means = lams * left[1:].sum(axis=(0, 2))
             for j in range(k + 1, k + m + 1):
                 got = waiting.waiting_mean(j, k, m, plan, law)
