@@ -218,14 +218,17 @@ class _DeathChain:
 
     def weights(self, taus):
         """The Poisson(q tau) weights w[i, j] with e^{L tau} = sum_j w[i, j] P^j,
-        one row per tau in [0, d] of taus; e^{L 0} = I."""
-        y_taus = self.y * np.divide(taus, self.d)[:, None]
-        # log 0 taken as -1e300, so that each term past j = 0 underflows to 0;
-        # math.log of each tau costs a third of a masked np.log on one tau
-        logs = [[log(y) if y > 0 else -1e300] for (y,) in y_taus.tolist()]
-        weights = np.exp(self.terms * logs - y_taus - self.log_factorials)
+        one row per tau in [0, d] of the floats taus; e^{L 0} = I."""
+        y_taus, logs = [], []
+        for tau in taus:
+            y = self.y * (tau / self.d)
+            y_taus.append([y])
+            # log 0 taken as -1e300, so that each term past j = 0 underflows
+            # to 0; math.log of each tau costs a third of a masked np.log
+            logs.append([log(y) if y > 0 else -1e300])
+        weights = np.exp(self.terms * np.array(logs) - np.array(y_taus) - self.log_factorials)
         # Rounding in j log(y) would leave the sum off by ~1e-13 at y ~ 1000.
-        return weights / weights.sum(axis=1, keepdims=True)
+        return weights / np.add.reduce(weights, axis=1, keepdims=True)
 
 
 _death_chain = lru_cache(maxsize=16)(_DeathChain)

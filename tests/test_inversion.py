@@ -240,6 +240,20 @@ class TestPmfAtTime:
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(got >= -1e-8)
 
+    @pytest.mark.parametrize(
+        "law", [service.Erlang(2, 2.0), service.Deterministic(0.8)], ids=["erlang", "det"]
+    )
+    def test_writing_into_an_answer_leaves_the_next_unchanged(self, law):
+        # both engines keep arrays between calls (the record's rows, the
+        # death chain's step and orbit, the reflection pass's layouts): no
+        # answer may share them
+        plan = kernels.Constant(1.25, 10)
+        for t in (0.0, 0.5, 2.4, 12.0):
+            probs = inversion.pmf_at_time(1, 10, plan, law, t)
+            want = probs.copy()
+            probs[:] = -1.0
+            assert np.array_equal(inversion.pmf_at_time(1, 10, plan, law, t), want)
+
     def test_deterministic_service_flags_rough_original(self):
         # a deterministic departure epoch makes P(Z(t)=l) jump in t, which
         # the cross-check at a second node count reports rather than hiding
@@ -1024,6 +1038,30 @@ class TestReflectionRoute:
             assert time.perf_counter() - began < 1.0
             assert abs(got - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("k, m, plan, law", REFLECTION_CASES, ids=REFLECTION_IDS)
+    def test_answers_do_not_depend_on_call_order(self, k, m, plan, law):
+        # the death chain builds its step and orbit, and _layout its arrays,
+        # on the first call to need them: every t reads the same whichever
+        # t came first
+        times = (0.0, 0.5, law.value, 2.4, 12.0, 120.0)
+
+        def answers(times):
+            kernels._death_chain.cache_clear()
+            inversion._layout.cache_clear()
+            return {
+                t: (
+                    inversion.pmf_at_time(k, m, plan, law, t),
+                    inversion.workload_lst_at_time(k, m, plan, law, 0.7, t),
+                )
+                for t in times
+            }
+
+        ascending, descending = answers(times), answers(times[::-1])
+        for t in times:
+            alone = answers((t,))[t]
+            for got in (ascending[t], descending[t]):
+                assert np.array_equal(got[0], alone[0]) and got[1] == alone[1]
+
     def test_zero_shift_is_the_pmf_pass(self):
         # the pass at xi = 0 is P(Z(t) <= j); with the shifted passes on
         # either side of the break, F(j d + xi) is nondecreasing in j d + xi
@@ -1076,6 +1114,18 @@ class TestReflectionRoute:
             with pytest.raises(ValueError):
                 array[0] = 0.5
         assert np.max(np.abs(chain.step.sum(axis=1) - 1.0)) <= 4.5e-16  # two ulps
+
+    def test_one_layout_per_shape(self):
+        # t = 4 and 4.5 both take 5 grid points, and past k + m + 1 = 12 the
+        # shapes stop changing: two layouts serve these five passes
+        plan, law = kernels.Constant(1.1, 10), service.Deterministic(0.8)
+        inversion._layout.cache_clear()
+        for t in (4.0, 4.5, 12.0, 120.0, 1e6):
+            inversion.pmf_at_time(1, 10, plan, law, t)
+        assert inversion._layout.cache_info().currsize == 2
+        for array in inversion._layout(1, 10, 5)[2:]:
+            with pytest.raises(ValueError):
+                array[0] = 0.5
 
     def test_an_empty_pool_stays_empty_exactly(self):
         # n = 0 absorbs: row 0 of the cached e^{L d} is e_0, where the
