@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from math import asin, erfc, expm1, log1p, sqrt
 from statistics import NormalDist
 
@@ -457,7 +458,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every run shares it."""
     parser = _Parser(prog="poolqueue", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, (_, help_text, params) in _COMMANDS.items():

@@ -29,6 +29,7 @@ __all__ = [
     "tail",
     "mean",
     "sample",
+    "sample_rows",
 ]
 
 
@@ -177,25 +178,67 @@ def mean(law):
 
 def sample(law, rng, size=None):
     """Draw from the law using the supplied numpy Generator."""
-    if isinstance(law, Exponential):
-        return rng.exponential(1.0 / law.rate, size=size)
-    if isinstance(law, Erlang):
-        return rng.gamma(law.shape, 1.0 / law.rate, size=size)
-    # HyperExponential and Pareto work in place, to hold one draw-sized
-    # array at a time besides rng.choice's own.
     if isinstance(law, HyperExponential):
+        # In place, to hold one draw-sized array at a time besides
+        # rng.choice's own, which are freed before the draws are allocated.
         idx = rng.choice(len(law.rates), size=size, p=law.weights)
         draws = (1.0 / np.asarray(law.rates))[idx]
         del idx
         draws *= rng.standard_exponential(size)
         return draws
-    if isinstance(law, Deterministic):
-        if size is None:
-            return law.value
-        return np.full(size, law.value)
-    draws = rng.random(size)
-    draws *= -1.0
-    draws += 1.0
-    draws **= -1.0 / law.index
-    draws *= law.scale
+    if size is None:
+        return float(sample(law, rng, 1)[0])
+    draws = np.empty(size)
+    _fill(law, rng, draws)
     return draws
+
+
+def _fill(law, rng, out):
+    """Overwrite out with draws from a law sampled element by element,
+    any but HyperExponential: the numbers rng.exponential, rng.gamma and
+    rng.random would return, since each scales the standard draws by the
+    same factor."""
+    if isinstance(law, Exponential):
+        rng.standard_exponential(out=out)
+        out *= 1.0 / law.rate
+    elif isinstance(law, Erlang):
+        rng.standard_gamma(law.shape, out=out)
+        out *= 1.0 / law.rate
+    elif isinstance(law, Deterministic):
+        out.fill(law.value)
+    else:
+        rng.random(out=out)
+        out *= -1.0
+        out += 1.0
+        out **= -1.0 / law.index
+        out *= law.scale
+
+
+def sample_rows(law, rng, shape, rows):
+    """Return an iterator over sample(law, rng, shape) in consecutive
+    slices of `rows` rows.
+
+    The slices are views of one array, which holds bit for bit the numbers
+    of the one whole call, and rng ends where that call leaves it.  Every
+    sampler but HyperExponential's draws element by element, in order: its
+    array is allocated by this call, in the calling thread, and each slice
+    is drawn when the iterator reaches it.  HyperExponential draws all its
+    component indices before any exponential, so its whole array is drawn
+    when the first slice is asked for.
+    """
+    if isinstance(law, HyperExponential):
+        return _drawn_rows(law, rng, shape, rows)
+    return _filled_rows(law, rng, np.empty(shape), rows)
+
+
+def _drawn_rows(law, rng, shape, rows):
+    draws = sample(law, rng, shape)
+    for lo in range(0, shape[0], rows):
+        yield draws[lo : lo + rows]
+
+
+def _filled_rows(law, rng, draws, rows):
+    for lo in range(0, len(draws), rows):
+        part = draws[lo : lo + rows]
+        _fill(law, rng, part)
+        yield part

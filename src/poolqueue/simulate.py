@@ -3,25 +3,32 @@
 The Monte Carlo path replays the model directly, and therefore shares no
 code with the transform pipeline it validates.  Each chunk of _CHUNK
 replications draws the interarrival chain, all service times and the kill
-times from its own substream; the FIFO single-server recursion and every
-estimator then run over one cache-sized block of replications at a time,
-on customer-major copies, so memory is one chunk's draws and a few blocks.
-The blocking changes no draw.  Level probabilities are estimated from
-per-level hit counts.  For phase-type service (alpha, S, s0), as
-service.phase_type gives it, the model is a finite continuous-time Markov
-chain on (customers present, customers yet to arrive, service phase) with
-the plan's rates lams, held as an array x[ell, n, phase] in which the
-idle state (0, n) is stored as its mass times alpha: an arrival then moves
-every row (ell, n) to (ell+1, n-1) alike, a completion from ell >= 1 feeds
-ell-1 through s0 alpha, and only rows ell >= 1 take the phase moves of S.
-Its distribution at an exponential deadline (resolvent) follows by
-substitution, column by column.  Its distribution at a fixed time is a
-full-state pass of the uniformization (inversion._uniformized), the
-reference that the per-model record answering the time-domain queries is
-tested against.  Deterministic and Pareto service have no finite chain:
-both oracles raise service.phase_type's UnsupportedTransform for them.
+times from its own substream, in that order.  A producer thread draws them
+in slices of one cache-sized block of replications, each slice the numbers
+the whole-chunk calls put there.  The calling thread runs the FIFO
+single-server recursion and every estimator over each block as soon as its
+slice arrives, on customer-major copies, in the order one thread would; it
+keeps the arrival and departure times in the memory of the draws they
+replace until the kill times are drawn, so memory is one chunk's draws and
+a few blocks.  Neither the blocking nor the thread changes a draw or a
+sum.  Level probabilities are estimated from per-level hit counts.  For
+phase-type service (alpha, S, s0), as service.phase_type gives it, the
+model is a finite continuous-time Markov chain on (customers present,
+customers yet to arrive, service phase) with the plan's rates lams, held
+as an array x[ell, n, phase] in which the idle state (0, n) is stored as
+its mass times alpha: an arrival then moves every row (ell, n) to (ell+1,
+n-1) alike, a completion from ell >= 1 feeds ell-1 through s0 alpha, and
+only rows ell >= 1 take the phase moves of S.  Its distribution at an
+exponential deadline (resolvent) follows by substitution, column by
+column.  Its distribution at a fixed time is a full-state pass of the
+uniformization (inversion._uniformized), the reference that the per-model
+record answering the time-domain queries is tested against.  Deterministic
+and Pareto service have no finite chain: both oracles raise
+service.phase_type's UnsupportedTransform for them.
 """
 
+import queue
+import threading
 from dataclasses import dataclass, field
 from math import inf, isfinite
 
@@ -98,38 +105,89 @@ def _chunk_rng(seed, chunk_index):
     return np.random.Generator(bits)
 
 
-def _draw(config, rng, n_rep):
-    """One chunk's interarrival gaps and service times, replication-major.
+def _stream(config, rng, n_rep):
+    """One chunk's draws in stream order, a slice at a time.
 
-    Returns gaps, shape (n_rep, m), whose prefix sums are the arrival
-    times of customers k+1..k+m (the k initial ones arrive at zero and are
-    not stored), and services, shape (n_rep, k+m).  The gaps are standard
-    exponentials scaled in place by 1/lambda, which is what rng.exponential
-    draws, and the kill times, if any, are the stream's next draws.
+    Returns an iterator that yields the interarrival gaps, then the service
+    times, each in slices of _BLOCK replications of one chunk-sized array,
+    replication-major: gaps (b, m), whose prefix sums are the arrival times
+    of customers k+1..k+m (the k initial ones arrive at zero and are not
+    stored), and services (b, k+m).  Then, if there is a deadline, the
+    chunk's n_rep kill times.  Each slice holds bit for bit what the
+    whole-chunk calls put there: gaps and kill times are standard
+    exponentials scaled in place, which is what rng.exponential draws, and
+    service.sample_rows keeps the sampler's stream.  The arrays are
+    allocated here, in the calling thread, and filled as the iterator
+    reaches them: a producer thread that allocated them would hold their
+    memory in an allocator arena of its own, besides the calling thread's.
     """
-    gaps = rng.standard_exponential(size=(n_rep, config.m))
-    gaps *= 1.0 / config.plan.lams[:0:-1]
-    services = service.sample(config.law, rng, size=(n_rep, config.k + config.m))
-    return gaps, services
+    gaps = np.empty((n_rep, config.m))
+    services = service.sample_rows(config.law, rng, (n_rep, config.k + config.m), _BLOCK)
+    kill = None if config.gamma is None else np.empty(n_rep)
+    return _draw_into(rng, gaps, 1.0 / config.plan.lams[:0:-1], services, kill, config.gamma)
+
+
+def _draw_into(rng, gaps, scale, services, kill, gamma):
+    """The draws of _stream, drawn slice by slice into its arrays."""
+    for lo in range(0, len(gaps), _BLOCK):
+        rows = gaps[lo : lo + _BLOCK]
+        rng.standard_exponential(out=rows)
+        rows *= scale
+        yield rows
+    yield from services
+    if kill is not None:
+        rng.standard_exponential(out=kill)
+        kill *= 1.0 / gamma
+        yield kill
+
+
+def _produce(stream, out, stop):
+    """Producer thread: put each item of stream on out, until stop is set.
+
+    An exception the draws raise is put on out in the item's place, for
+    the consumer to raise.
+    """
+    try:
+        for item in stream:
+            out.put(item)
+            if stop.is_set():
+                return
+    except BaseException as exc:  # raised again in the consumer's thread
+        out.put(exc)
+
+
+def _arrival_times(gaps):
+    """Customer-major arrival times (m, b) from one block's gaps (b, m),
+    written over the gaps' own memory: row by row, the sums a cumsum would
+    add, at half its cost on this layout."""
+    steps = gaps.T.copy()
+    arr = gaps.reshape(steps.shape)
+    arr[:1] = steps[:1]
+    for j in range(1, len(arr)):
+        np.add(arr[j - 1], steps[j], out=arr[j])
+    return arr
 
 
 def _fifo(k, arrivals, services):
     """Start and departure times of a block of replications, customer-major.
 
-    arrivals (m, b) and services (k+m, b) hold one customer per row; the
-    returned start and depart are new C-ordered (k+m, b) arrays.  The
-    recursion start_j = max(arrival_j, depart_{j-1}) steps row by row, and
-    an initial customer (j <= k, arrival zero) starts at depart_{j-1}.
+    arrivals (m, b) holds one customer per row and services is the block's
+    replication-major (b, k+m) slice of service times.  Returns start, a
+    new C-ordered (k+m, b) array, and depart, the same shape over
+    services' own memory, which the departures overwrite.  The recursion
+    start_j = max(arrival_j, depart_{j-1}) steps row by row, and an initial
+    customer (j <= k, arrival zero) starts at depart_{j-1}.
     """
-    depart = services.copy(order="C")
-    start = np.empty_like(depart)
-    prev = np.zeros(depart.shape[1])
-    for j in range(depart.shape[0]):
+    served = services.T.copy()
+    depart = services.reshape(served.shape)
+    start = np.empty_like(served)
+    prev = np.zeros(served.shape[1])
+    for j in range(len(served)):
         if j < k:
             start[j] = prev
         else:
             np.maximum(arrivals[j - k], prev, out=start[j])
-        depart[j] += start[j]
+        np.add(served[j], start[j], out=depart[j])
         prev = depart[j]
     return start, depart
 
@@ -148,14 +206,20 @@ class _Tally:
         self.tail = dict.fromkeys(config.tail_points, 0)
         self.wait = np.zeros((2, total))  # sums of W_j and W_j^2
         self.work = {a: np.zeros(2) for a in config.alpha_grid}
+        self.level_type = np.min_scalar_type(total + 1)  # holds every level
 
     def _levels(self, arrivals, depart, t):
-        """Customers arrived by t (the k initial ones included) and Z(t)."""
-        arrived = self.config.k + (arrivals <= t).sum(axis=0)
-        return arrived, arrived - (depart <= t).sum(axis=0)
+        """Customers arrived by t (the k initial ones included) and Z(t).
 
-    def add(self, arrivals, start, depart, kill):
-        """Score one block; start is overwritten with the waiting times."""
+        Each count adds a mask's uint8 view in the smallest integer type
+        that holds k+m+1, which is cheaper than summing the bools and, the
+        counts being exact, gives the same integers."""
+        arrived = self.config.k + (arrivals <= t).view(np.uint8).sum(axis=0, dtype=self.level_type)
+        return arrived, arrived - (depart <= t).view(np.uint8).sum(axis=0, dtype=self.level_type)
+
+    def add(self, arrivals, start, depart):
+        """Score one block at the fixed times; start is overwritten with
+        the waiting times."""
         k, levels = self.config.k, len(self.kill)
         self.n += depart.shape[1]
         start[k:] -= arrivals
@@ -165,10 +229,11 @@ class _Tally:
             self.tail[j, t] += int(np.count_nonzero(start[j - 1] > t))
         for t, counts in self.times.items():
             counts += np.bincount(self._levels(arrivals, depart, t)[1], minlength=levels)
-        if kill is None:
-            return
+
+    def add_kill(self, arrivals, depart, kill):
+        """Score one block at its kill times."""
         arrived, present = self._levels(arrivals, depart, kill)
-        self.kill += np.bincount(present, minlength=levels)
+        self.kill += np.bincount(present, minlength=len(self.kill))
         if self.work:
             # FIFO: the work left at T is the last arrival's departure
             # time past T, or zero once it has left or before anyone came.
@@ -206,28 +271,56 @@ def _estimates(n, sums, squares):
     return [Estimate(float(mu), float(e)) for mu, e in zip(mean, se)]
 
 
+def _chunk(config, tally, rng, n_rep):
+    """Replay and score one chunk of n_rep replications while a producer
+    thread draws its stream from rng; the thread has ended on return,
+    whether the chunk was scored or an error was raised."""
+    items, stop = queue.SimpleQueue(), threading.Event()
+    producer = threading.Thread(
+        target=_produce, args=(_stream(config, rng, n_rep), items, stop), daemon=True
+    )
+
+    def take():
+        item = items.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    producer.start()
+    try:
+        blocks = range(0, n_rep, _BLOCK)
+        arrivals = [_arrival_times(take()) for _ in blocks]
+        departs = []
+        for arr in arrivals:
+            start, depart = _fifo(config.k, arr, take())
+            tally.add(arr, start, depart)
+            departs.append(depart)
+        if config.gamma is not None:
+            kill = take()
+            for lo, arr, depart in zip(blocks, arrivals, departs):
+                tally.add_kill(arr, depart, kill[lo : lo + _BLOCK])
+    finally:
+        stop.set()
+        producer.join()
+
+
 def simulate(config):
     """Run the Monte Carlo study described by config and collect estimates.
 
-    No array of a whole chunk's start, departure or waiting times is
-    formed: each block is replayed and scored while it is in cache.
+    Each chunk runs on two threads.  A producer thread draws the chunk's
+    stream (_stream) in slices of whole blocks; this thread replays and
+    scores each block as soon as its slice has arrived, while the next one
+    is drawn.  Scores at the deadline wait for the kill times, the
+    stream's last draws, and are taken block by block after them, from the
+    arrival and departure times kept in the memory of the draws they came
+    from.  The draws, the blocks and the order of every float sum are
+    those of one thread drawing whole chunks, so every estimate is too,
+    bit for bit, and memory stays one chunk's draws and a few blocks.
     """
     tally = _Tally(config)
     for index, first in enumerate(range(0, config.replications, _CHUNK)):
         n_rep = min(_CHUNK, config.replications - first)
-        rng = _chunk_rng(config.seed, index)
-        gaps, services = _draw(config, rng, n_rep)
-        kill = None if config.gamma is None else rng.exponential(1.0 / config.gamma, size=n_rep)
-        for lo in range(0, n_rep, _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            arr = gaps[rows].T.copy()
-            # The arrival times, customer-major: row by row, the sums a
-            # cumsum would add, at half its cost on this layout.
-            for j in range(1, config.m):
-                arr[j] += arr[j - 1]
-            start, depart = _fifo(config.k, arr, services[rows].T)
-            tally.add(arr, start, depart, None if kill is None else kill[rows])
-        del gaps, services, kill  # before the next chunk draws
+        _chunk(config, tally, _chunk_rng(config.seed, index), n_rep)
     return tally.report()
 
 

@@ -53,6 +53,22 @@ class TestSubcommands:
         assert header == ["level", "probability"]
         assert rows == [["0", "0.5"], ["1", "0.5"]]
 
+    def test_runs_in_one_process_print_alike(self, capsys):
+        # one parser serves every run: a refused run leaves nothing behind
+        # that changes the next
+        argv = ["pmf", "--k", "1", "--m", "1", "--plan", "const:1", "--service", "exp:1",
+                "--gamma", "1"]
+        refused = ["pmf", "--k", "1", "--m", "1", "--gamma", "1", "--bogus", "2"]
+        first = run(argv, capsys)
+        assert first[0] == 0 and first[1]
+        bad = run(refused, capsys)
+        assert bad[0] == 1 and "unrecognized arguments: --bogus 2" in bad[2]
+        assert run(argv, capsys) == first
+        assert run(refused, capsys) == bad
+        assert run(["pmf", "--m", "1"], capsys)[2] == "missing required parameter --k\n"
+        assert run(argv, capsys) == first
+        assert cli.build_parser() is cli.build_parser()
+
     def test_pgf_values(self, capsys):
         code, out, _ = run(
             ["pgf", "--k", "0", "--m", "1", "--plan", "const:1",

@@ -21,6 +21,21 @@ ALL_TRANSFORM_LAWS = [
 ALL_LAWS = ALL_TRANSFORM_LAWS + [service.Pareto(1.5, 1.0)]
 
 
+def reference_sample(law, rng, size):
+    """Each law's draws as numpy's own whole-array calls make them: the
+    stream that the samplers and every fixed-seed simulation keep."""
+    if isinstance(law, service.Exponential):
+        return rng.exponential(1.0 / law.rate, size=size)
+    if isinstance(law, service.Erlang):
+        return rng.gamma(law.shape, 1.0 / law.rate, size=size)
+    if isinstance(law, service.HyperExponential):
+        idx = rng.choice(len(law.rates), size=size, p=law.weights)
+        return (1.0 / np.asarray(law.rates))[idx] * rng.standard_exponential(size)
+    if isinstance(law, service.Deterministic):
+        return np.full(size, law.value)
+    return law.scale * (1.0 - rng.random(size)) ** (-1.0 / law.index)
+
+
 def lst_derivative_scaled(law, order, s):
     """beta^(order)(s) / order!, read from the kernel tables.
 
@@ -263,6 +278,25 @@ class TestSampling:
         draws = service.sample(law, rng, size=1_000_000)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - service.mean(law)) <= 4 * max(se, 1e-12)
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    @pytest.mark.parametrize("rows", [1, 7, 300, 1000])
+    def test_sample_and_rows_are_numpys_whole_array_calls(self, law, rows):
+        # 1000 rows in slices of 7 ends mid-slice; the stream must then
+        # carry on where the whole-array call leaves it
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        want = reference_sample(law, ref, (1000, 5))
+        assert np.array_equal(service.sample(law, rng, (1000, 5)), want)
+        slices = service.sample_rows(law, rng, (1000, 5), rows)
+        want = reference_sample(law, ref, (1000, 5))
+        got = [next(slices)]
+        assert np.array_equal(got[0], want[:rows])
+        got += list(slices)
+        assert [len(x) for x in got] == [min(rows, 1000 - lo) for lo in range(0, 1000, rows)]
+        assert got[0].base is not None and all(x.base is got[0].base for x in got)
+        assert np.array_equal(np.concatenate(got), want)
+        assert service.sample(law, rng) == reference_sample(law, ref, 1)[0]
+        assert rng.random() == ref.random()
 
     def test_sampling_reproducible(self):
         a = service.sample(service.Erlang(3, 2.0), np.random.default_rng(5), size=10)

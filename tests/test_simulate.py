@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import scipy.linalg
 
 from poolqueue import kernels, service, simulate, transient
 from poolqueue.errors import UnsupportedTransform
+from test_service import reference_sample
 
 
 LAWS = [
@@ -35,7 +39,7 @@ def reference_replay(config, rng, n_rep):
         rates = config.plan.lams[1:]
         gaps = rng.exponential(1.0 / rates[::-1], size=(n_rep, m))
         arrivals[:, k:] = np.cumsum(gaps, axis=1)
-    services = service.sample(config.law, rng, size=(n_rep, total))
+    services = reference_sample(config.law, rng, (n_rep, total))
     start = np.zeros((n_rep, total))
     depart = np.zeros((n_rep, total))
     prev_depart = np.zeros(n_rep)
@@ -47,11 +51,14 @@ def reference_replay(config, rng, n_rep):
 
 
 def replay(config, rng, n_rep):
-    """(arrival, start, depart), replication-major, from _draw and _fifo."""
-    gaps, services = simulate._draw(config, rng, n_rep)
-    arrivals = np.cumsum(gaps, axis=1)
-    start, depart = simulate._fifo(config.k, arrivals.T, services.T)
-    return np.hstack([np.zeros((n_rep, config.k)), arrivals]), start.T, depart.T
+    """(arrival, start, depart), replication-major, from the chunk's stream,
+    _arrival_times and _fifo, block by block, as simulate takes them."""
+    stream = simulate._stream(config, rng, n_rep)
+    blocks = range(0, n_rep, simulate._BLOCK)
+    arrivals = [simulate._arrival_times(next(stream)) for _ in blocks]
+    start, depart = zip(*(simulate._fifo(config.k, arr, next(stream)) for arr in arrivals))
+    arrivals = np.vstack([np.zeros((config.k, n_rep)), np.hstack(arrivals)])
+    return arrivals.T, np.hstack(start).T, np.hstack(depart).T
 
 
 def reference_simulate(config, chunk):
@@ -300,14 +307,21 @@ class TestSimulate:
 
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
     def test_draws_are_the_exponential_calls(self, law):
-        # _draw scales standard exponentials itself; the numbers must be
-        # those of rng.exponential, services and kill times included
-        cfg = config(k=2, m=6, plan=kernels.Proportional(0.4, 6), law=law)
+        # _stream scales standard exponentials itself and draws in slices;
+        # the numbers must be those of rng.exponential and of the whole-array
+        # service calls, kill times included, and the stream must end there
+        cfg = config(k=2, m=6, plan=kernels.Proportional(0.4, 6), law=law, gamma=0.7)
         rng, ref = simulate._chunk_rng(3, 1), simulate._chunk_rng(3, 1)
-        gaps, services = simulate._draw(cfg, rng, 3000)
-        want = ref.exponential(1.0 / cfg.plan.lams[1:][::-1], size=(3000, 6))
-        assert np.array_equal(gaps, want)
-        assert np.array_equal(services, service.sample(law, ref, size=(3000, 8)))
+        n_rep = 3000  # two slices, the second partial
+        items = list(simulate._stream(cfg, rng, n_rep))
+        blocks = -(-n_rep // simulate._BLOCK)
+        assert len(items) == 2 * blocks + 1
+        assert all(len(x) == simulate._BLOCK for x in items[: blocks - 1])
+        want = ref.exponential(1.0 / cfg.plan.lams[1:][::-1], size=(n_rep, 6))
+        assert np.array_equal(np.concatenate(items[:blocks]), want)
+        want = reference_sample(law, ref, (n_rep, 8))
+        assert np.array_equal(np.concatenate(items[blocks:-1]), want)
+        assert np.array_equal(items[-1], ref.exponential(1 / 0.7, n_rep))
         assert np.array_equal(rng.exponential(1 / 0.7, 3000), ref.exponential(1 / 0.7, 3000))
 
     @pytest.mark.parametrize("k,m", [(0, 4), (4, 0), (0, 0)])
@@ -393,6 +407,71 @@ class TestSimulate:
             tracemalloc.stop()
         bound = 1.6 if isinstance(law, service.HyperExponential) else 1.15
         assert peak <= bound * draw_bytes
+
+    def test_draw_error_is_raised_and_ends_the_producer(self, monkeypatch):
+        fill, calls = service._fill, []
+
+        def failing_fill(law, rng, out):
+            calls.append(len(out))
+            if len(calls) == 2:
+                raise RuntimeError("draw failed")
+            fill(law, rng, out)
+
+        monkeypatch.setattr(service, "_fill", failing_fill)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            simulate.simulate(config(k=2, m=5, plan=kernels.Constant(0.9, 5), replications=10**4))
+        assert threading.active_count() == before
+        assert len(calls) == 2
+
+    def test_replay_error_stops_the_producer(self, monkeypatch):
+        # 20 slices of services, each drawn 50 ms late: a producer that
+        # runs on after the replay fails would make all 20
+        fill, calls = service._fill, []
+
+        def slow_fill(law, rng, out):
+            calls.append(len(out))
+            if len(calls) > 1:
+                time.sleep(0.05)
+            fill(law, rng, out)
+
+        def failing_fifo(k, arrivals, services):
+            raise RuntimeError("replay failed")
+
+        monkeypatch.setattr(service, "_fill", slow_fill)
+        monkeypatch.setattr(simulate, "_fifo", failing_fifo)
+        cfg = config(k=2, m=5, plan=kernels.Constant(0.9, 5), replications=20 * simulate._BLOCK)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="replay failed"):
+            simulate.simulate(cfg)
+        assert threading.active_count() == before
+        assert len(calls) < 5
+
+    def test_reports_alike_under_contention(self):
+        # Six simulations at once, twelve threads on however few cores,
+        # switching every microsecond: a slice handed over twice, out of
+        # order or before it is drawn would move an estimate.
+        cfg = config(
+            k=2, m=5, plan=kernels.Proportional(0.6, 5), law=service.Erlang(2, 2.0),
+            times=(1.0,), alpha_grid=(0.5,), replications=3 * simulate._BLOCK + 7,
+        )
+        want = simulate.simulate(cfg)
+        got = []
+        workers = [
+            threading.Thread(target=lambda: got.append(simulate.simulate(cfg)))
+            for _ in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [want] * 6
 
 
 class TestArrivalProcess:

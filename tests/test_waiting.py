@@ -6,6 +6,7 @@ import pytest
 
 from poolqueue import inversion, kernels, service, simulate, transient, waiting
 from poolqueue.errors import DomainError
+from test_simulate import replay
 
 LAWS = [
     service.Exponential(1.3),
@@ -114,14 +115,12 @@ class TestWaitingLst:
         squares = np.zeros_like(sums)
         n_rep, chunks = 50_000, 4
         for chunk in range(chunks):
-            gaps, services = simulate._draw(config, simulate._chunk_rng(seed, chunk), n_rep)
-            arrivals = np.cumsum(gaps, axis=1)
-            start, _ = simulate._fifo(k, arrivals.T, services.T)
-            start[k:] -= arrivals.T  # now the waiting times, customer-major
+            arrivals, start, _ = replay(config, simulate._chunk_rng(seed, chunk), n_rep)
+            start -= arrivals  # now the waiting times
             for row, alpha in enumerate(alphas):
                 draws = np.exp(-alpha * start)
-                sums[row] += draws.sum(axis=1)
-                squares[row] += (draws**2).sum(axis=1)
+                sums[row] += draws.sum(axis=0)
+                squares[row] += (draws**2).sum(axis=0)
         total = n_rep * chunks
         est = sums / total
         stderr = np.sqrt(np.maximum(squares / total - est**2, 0.0) / total)
