@@ -96,7 +96,14 @@ def _comma_list(item):
     return convert
 
 
-_FLOATS, _INTS = _comma_list(float), _comma_list(int)
+def _order(value):
+    order = int(value)
+    if order < 0:
+        raise ValueError(f"moment orders must be nonnegative, got {order}")
+    return order
+
+
+_FLOATS, _INTS, _ORDERS = _comma_list(float), _comma_list(int), _comma_list(_order)
 
 
 def _output_format(value):
@@ -121,7 +128,7 @@ _PARAMS = {
     "alpha": ("query", _FLOATS, "comma-separated alpha values of the LSTs"),
     "t": ("query", _FLOATS, "comma-separated time points"),
     "j": ("query", _INTS, "comma-separated customer indices (default all)"),
-    "orders": ("query", _INTS, "comma-separated moment orders"),
+    "orders": ("query", _ORDERS, "comma-separated nonnegative moment orders"),
     "p": ("query", float, "generating variable for the initial count"),
     "r": ("query", float, "generating variable for the pool size"),
     "lam": ("query", float, "arrival rate"),
@@ -469,7 +476,7 @@ def build_parser():
         p.add_argument("--config", help="YAML config file; flags override its values")
         for key in ("output", "format") + params:
             _, convert, flag_help = _PARAMS[key]
-            kwargs = {} if convert in (_FLOATS, _INTS) else {"type": convert}
+            kwargs = {} if convert in (_FLOATS, _INTS, _ORDERS) else {"type": convert}
             p.add_argument(f"--{key}", help=flag_help, **kwargs)
     return parser
 

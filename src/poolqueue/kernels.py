@@ -31,8 +31,8 @@ kernel_rows returns u together with the kill kernel r(a), whose entries
 also carry E[e^{-a R}] of the residual service R at the kill (the factor
 e^{-a (d - t)} for Deterministic): build_tables takes v = gamma r(0), and
 the Deterministic waiting-time transforms read r(a) at gamma = 0.  The
-phase-type ones need no a: they sweep the phase vectors x_i themselves
-(_phase_tables with the columns [s0 | I], see waiting).
+phase-type u = X s0 and r(a) = X (aI - S)^{-1} s0 project one phase table
+X[n, n - i] = x_i (_phase_tables), which the waiting times sweep (waiting).
 
 gamma is one killing rate per call, real or complex.
 """
@@ -253,8 +253,8 @@ def _deterministic_tables(plan, d, gamma, alpha):
     return np.exp(-gamma * d) * step, r
 
 
-def _phase_tables(plan, start, sub, gamma, cols):
-    """Tables [c][n, n - i] = x_i cols[:, c].
+def _phase_tables(plan, start, sub, gamma):
+    """The phase table X[n, n - i] = x_i, shape (m + 1, m + 1, p), 0 at i > n.
 
     x_0 = start R_n and x_i = x_{i-1} lambda_{n-i+1} R_{n-i}, with
     R_j = ((gamma + lambda_j) I - S)^{-1}: x_i[k] is the Laplace transform at
@@ -272,15 +272,15 @@ def _phase_tables(plan, start, sub, gamma, cols):
     inverses = np.linalg.inv((lams + gamma)[:, None, None] * np.eye(len(start)) - sub)
     heads = start @ inverses
     steps = [None] + [lam * inverse for lam, inverse in zip(lams[1:], inverses)]
-    tables = np.zeros((cols.shape[-1], size, size), dtype=np.result_type(inverses, cols))
+    table = np.zeros((size, size, len(start)), dtype=inverses.dtype)
     for n in range(size):
         x = heads[n]
         xs = [x]
         for step in steps[n:0:-1]:
             x = x.dot(step)
             xs.append(x)
-        tables[:, n, : n + 1] = (np.array(xs) @ cols)[::-1].T
-    return tables
+        table[n, n::-1] = xs
+    return table
 
 
 def kernel_rows(plan, law, gamma, alpha):
@@ -306,8 +306,8 @@ def kernel_rows(plan, law, gamma, alpha):
     if isinstance(law, Deterministic):
         return _deterministic_tables(plan, law.value, gamma, alpha)
     start, sub, exit_ = service.phase_type(law)
-    cols = np.column_stack((exit_, service.residual_lst(law, alpha)))
-    return tuple(_phase_tables(plan, start, sub, gamma, cols))
+    table = _phase_tables(plan, start, sub, gamma)
+    return table @ exit_, table @ service.residual_lst(law, alpha)
 
 
 @dataclass(frozen=True)

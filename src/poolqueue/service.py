@@ -52,6 +52,8 @@ class Erlang:
             raise ValueError("shape must be a positive integer")
         if not 0 < self.rate < inf:
             raise ValueError("rate must be positive and finite")
+        # an int, which the phase count, the tail sum and the sampler need
+        object.__setattr__(self, "shape", int(self.shape))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, service
-from .errors import check_counts
+from .errors import DomainError, check_counts
 
 __all__ = [
     "PgfPolynomial",
@@ -162,8 +162,10 @@ def factorial_moments(k, m, plan, law, gamma, max_order):
     """E[Z(Z-1)...(Z-l+1)] at the deadline, for l = 0..max_order.
 
     Index l is the l-th falling-factorial moment; the empty product at
-    l = 0 gives 1.
+    l = 0 gives 1.  A negative max_order raises DomainError.
     """
+    if max_order < 0:
+        raise DomainError(f"max_order must be nonnegative, got {max_order}")
     probs = pmf(k, m, plan, law, gamma)
     # falling[j, l] = j (j - 1) ... (j - l + 1), zero for j < l
     falling = np.ones((len(probs), max_order + 1))

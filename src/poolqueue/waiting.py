@@ -66,9 +66,8 @@ def _record(k, m, plan, law):
         joint = None
     else:
         start, sub, exit_ = service.phase_type(law)
-        cols = np.column_stack((exit_, np.eye(len(start))))
-        u, *phases = kernels._phase_tables(plan, start, sub, 0.0, cols)
-        joint, empty = transient.sweep(k, m, plan, 0.0, u, np.stack(phases, axis=-1))
+        phases = kernels._phase_tables(plan, start, sub, 0.0)
+        joint, empty = transient.sweep(k, m, plan, 0.0, phases @ exit_, phases)
     rhos = empty[m:0:-1]
     means = np.arange(k + m) * service.mean(law)
     means[k:] += np.cumsum((rhos - 1.0) / plan.lams[:0:-1])

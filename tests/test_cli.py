@@ -481,6 +481,28 @@ class TestErrors:
         assert out == ""
         assert err
 
+    @pytest.mark.parametrize("orders,first", [("-1", -1), ("2,-1", -1), ("-3,0", -3)])
+    def test_negative_moment_order_refused_before_any_work(self, orders, first, monkeypatch,
+                                                            capsys):
+        # 2,-1 printed E[Z(Z-1)] as order -1, and -1 ended in an IndexError
+        calls = []
+        monkeypatch.setattr(transient, "pmf", lambda *args: calls.append(args))
+        argv = ["moments", "--k", "2", "--m", "3", "--plan", "const:1", "--service", "exp:1",
+                "--gamma", "1", f"--orders={orders}"]
+        code, out, err = run(argv, capsys)
+        assert (code, out, calls) == (1, "", [])
+        assert err == f"error: moment orders must be nonnegative, got {first}\n"
+
+    def test_negative_moment_order_refused_from_a_config(self, tmp_path, capsys):
+        path = tmp_path / "orders.yaml"
+        path.write_text(yaml.safe_dump({
+            "model": {"k": 2, "m": 3, "plan": "const:1", "service": "exp:1"},
+            "query": {"gamma": 1.0, "orders": [2, -1]},
+        }))
+        code, out, err = run(["moments", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: moment orders must be nonnegative, got -1\n"
+
     def test_numeric_guard_surfaces(self, capsys):
         # z on a guard band must fail loudly, not silently emit numbers
         code, _, err = run(

@@ -296,41 +296,40 @@ class TestKernelTables:
         assert abs(tables.u[250].sum() - beta) < 1e-10
 
 
-def per_entry_tables(plan, start, sub, gamma, cols):
+def per_entry_tables(plan, start, sub, gamma):
     """The reference kernels._phase_tables must reproduce: the recursion
-    x_i = x_{i-1} @ lambda_{n-i+1} R_{n-i}, one `@` operator per entry."""
+    x_i = x_{i-1} @ lambda_{n-i+1} R_{n-i}, one `@` operator per entry,
+    each x_i written to X[n, n - i]."""
     lams = plan.lams
     size = len(lams)
     inverses = np.linalg.inv((lams + gamma)[:, None, None] * np.eye(len(start)) - sub)
     heads = start @ inverses
     steps = [None] + [lam * inverse for lam, inverse in zip(lams[1:], inverses)]
-    tables = np.zeros((cols.shape[-1], size, size), dtype=np.result_type(inverses, cols))
+    table = np.zeros((size, size, len(start)), dtype=inverses.dtype)
     for n in range(size):
-        xs = [heads[n]]
+        table[n, n] = heads[n]
         for i in range(1, n + 1):
-            xs.append(xs[-1] @ steps[n - i + 1])
-        tables[:, n, : n + 1] = (np.array(xs) @ cols)[::-1].T
-    return tables
+            table[n, n - i] = table[n, n - i + 1] @ steps[n - i + 1]
+    return table
 
 
 class TestPhaseRecursion:
     @pytest.mark.parametrize("law", PHASE_LAWS)
     def test_matches_the_per_entry_reference(self, law):
-        # both column sets: kernel_rows' [s0 | residual] at each alpha and
-        # the waiting record's [s0 | I]
-        start, sub, _ = service.phase_type(law)
-        exit_rates = -sub.sum(axis=1)
-        col_sets = [np.column_stack((exit_rates, np.eye(len(start))))] + [
-            np.column_stack((exit_rates, np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)))
-            for alpha in (0.0, 0.9 + 0.3j)
-        ]
+        # the table itself, which the waiting record sweeps, and kernel_rows'
+        # projections u = X s0 and r(alpha) = X (alpha I - S)^{-1} s0
+        start, sub, exit_rates = service.phase_type(law)
         for plan in plans(40):
             for gamma in (0.0, 0.7, 2.5, 1.1 + 0.7j):
-                for cols in col_sets:
-                    got = kernels._phase_tables(plan, start, sub, gamma, cols)
-                    want = per_entry_tables(plan, start, sub, gamma, cols)
-                    assert got.shape == want.shape and got.dtype == want.dtype
-                    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+                got = kernels._phase_tables(plan, start, sub, gamma)
+                want = per_entry_tables(plan, start, sub, gamma)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+                for alpha in (0.0, 0.9 + 0.3j):
+                    residual = np.linalg.solve(alpha * np.eye(len(start)) - sub, exit_rates)
+                    u, r = kernels.kernel_rows(plan, law, gamma, alpha)
+                    for rows, ref in ((u, want @ exit_rates), (r, want @ residual)):
+                        assert np.all(np.abs(rows - ref) <= 1e-15 * np.abs(ref))
 
 
 def block_exponential(plan, d, gamma, alpha):

@@ -338,6 +338,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             bad()
 
+    def test_float_erlang_shape_is_stored_as_an_int(self):
+        # a float shape passed the check, then failed in numpy wherever used
+        law, twin = service.Erlang(2.0, 1.5), service.Erlang(2, 1.5)
+        assert type(law.shape) is int and law == twin and hash(law) == hash(twin)
+        assert repr(law) == repr(twin)
+        for got, want in zip(service.phase_type(law), service.phase_type(twin)):
+            assert np.array_equal(got, want)
+        assert service.tail(law, 1.0) == service.tail(twin, 1.0)
+        assert np.array_equal(service.sample(law, np.random.default_rng(3), 5),
+                              service.sample(twin, np.random.default_rng(3), 5))
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -424,6 +424,33 @@ class TestSimulate:
         assert threading.active_count() == before
         assert len(calls) == 2
 
+    def test_draw_base_exception_reaches_the_caller(self, monkeypatch):
+        # a producer that caught only Exception would leave simulate waiting
+        # on its queue forever, so simulate runs in a thread joined with a
+        # timeout
+        class Interrupted(BaseException):
+            pass
+
+        def failing_fill(law, rng, out):
+            raise Interrupted("draw interrupted")
+
+        monkeypatch.setattr(service, "_fill", failing_fill)
+        before, raised = threading.active_count(), []
+
+        def call():
+            try:
+                simulate.simulate(config(k=2, m=5, plan=kernels.Constant(0.9, 5),
+                                         replications=10**4))
+            except Interrupted as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "simulate hung on a BaseException from a draw"
+        assert [str(exc) for exc in raised] == ["draw interrupted"]
+        assert threading.active_count() == before
+
     def test_replay_error_stops_the_producer(self, monkeypatch):
         # 20 slices of services, each drawn 50 ms late: a producer that
         # runs on after the replay fails would make all 20

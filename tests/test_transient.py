@@ -272,7 +272,7 @@ class TestPhaseAxis:
         for k, m, plan in [(2, 5, kernels.Proportional(0.9, 5)), (0, 3, kernels.Constant(1.1, 3)),
                            (3, 0, kernels.Constant(1.0, 0))]:
             u, r = kernels.kernel_rows(plan, law, gamma, 0.0)
-            phases = np.stack(kernels._phase_tables(plan, start, sub, gamma, np.eye(p)), axis=-1)
+            phases = kernels._phase_tables(plan, start, sub, gamma)
             joint, empty = transient.sweep(k, m, plan, gamma, u, gamma * r)
             resolved, resolved_empty = transient.sweep(k, m, plan, gamma, u, phases)
             assert resolved.shape == (k + m + 1, m + 1, p)
@@ -339,6 +339,15 @@ class TestPmfAndMoments:
             for step in range(order):
                 falling *= np.maximum(levels - step, 0)
             assert got == pytest.approx(float(falling @ probs), abs=1e-12)
+
+
+    @pytest.mark.parametrize("max_order", [-1, -3])
+    def test_negative_order_refused(self, max_order):
+        # -1 returned [] and -3 failed inside numpy
+        with pytest.raises(DomainError, match="max_order must be nonnegative"):
+            transient.factorial_moments(
+                2, 3, kernels.Constant(1.0, 3), service.Exponential(1.0), 1.0, max_order
+            )
 
 
 class TestComplexGamma:

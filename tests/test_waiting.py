@@ -345,6 +345,19 @@ class TestRecord:
         assert len(calls) == 1
 
 
+    def test_float_erlang_shape_first_in_a_cold_cache(self):
+        # Erlang(2.0) == Erlang(2): the record built first answers both
+        plan = kernels.Constant(0.9, 5)
+        answers = []
+        for shape in (2.0, 2):
+            waiting._record.cache_clear()
+            answers.append([waiting.waiting_mean(j, 1, 5, plan, service.Erlang(shape, 2.0))
+                            for j in range(1, 7)])
+            answers.append(inversion.pmf_at_time(1, 5, plan, service.Erlang(shape, 2.0), 1.5))
+        assert answers[0] == answers[2]
+        assert np.array_equal(answers[1], answers[3])
+
+
 class TestTailAsymptote:
     def test_first_customer(self):
         assert waiting.tail_asymptote(1, 9.0, service.Pareto(1.5, 1.0)) == 0.0
